@@ -339,7 +339,7 @@ def _flat_to_polyvec(flat, n: int, field: FieldTag):
     return tuple(vec)
 
 
-def right_minimal_basis(P: PolyMatrix):
+def right_minimal_basis(P: PolyMatrix, rank: int | None = None):
     """Minimal basis of the right nullspace.
 
     Returns a list of polynomial column vectors (tuples of Poly) sorted by
@@ -347,11 +347,11 @@ def right_minimal_basis(P: PolyMatrix):
     Vectors are gathered degree by degree from the coefficient-space
     nullspaces, keeping only those independent from all shifts of the
     vectors already chosen, which yields least orders and a column-reduced
-    basis.
+    basis.  A known normal rank may be passed to skip its Smith form.
     """
     f = P.field
     n = P.cols
-    r = rank_of(P)
+    r = rank_of(P) if rank is None else rank
     want = n - r
     if want == 0:
         return []
@@ -410,10 +410,15 @@ def apply_matrix(P: PolyMatrix, vec) -> tuple:
     return tuple(out)
 
 
-def minimal_indices(P: PolyMatrix):
-    """Column and row minimal indices with their witnessing minimal bases."""
-    right = right_minimal_basis(P)
-    left = right_minimal_basis(P.transpose())
+def minimal_indices(P: PolyMatrix, rank: int | None = None):
+    """Column and row minimal indices with their witnessing minimal bases.
+
+    `rank`, the normal rank of P (and of its transpose), is computed when
+    not given."""
+    if rank is None:
+        rank = rank_of(P)
+    right = right_minimal_basis(P, rank)
+    left = right_minimal_basis(P.transpose(), rank)
     col = tuple(max(e.degree for e in v) for v in right)
     row = tuple(max(e.degree for e in v) for v in left)
     return col, row, MinimalBasis(tuple(right), col), MinimalBasis(tuple(left), row)
@@ -425,7 +430,7 @@ def eigenstructure(P: PolyMatrix) -> Eigenstructure:
     alphas = smith_form(P)
     mults = infinite_multiplicities(P)
     hom = tuple(HomogPoly(a, e) for a, e in zip(alphas, mults))
-    col, row, _, _ = minimal_indices(P)
+    col, row, _, _ = minimal_indices(P, len(alphas))
     es = Eigenstructure(
         degree=d,
         rank=len(alphas),

@@ -4,6 +4,20 @@ For every matrix P in a small finite-field grid, the set of eigenstructures
 achievable by stacking z extra rows is computed by brute force and compared,
 theorem by theorem, against the corresponding checker's verdict on every
 a-priori admissible target.  Any disagreement is reported as a mismatch.
+
+Most completions [P; W] share their eigenstructure, and the reason is exact:
+for a constant invertible G, the matrix G·M has the same degree, the same
+finite structure (G is unimodular), the same infinite structure
+(rev(G·M) = G·rev M), the same right null space, and left minimal bases
+mapped by G^-T, so the same row minimal indices.  Two matrices of one shape
+whose coefficient stacks [M_0 M_1 ... M_d] have the same row space differ by
+such a G.  The eigenstructure is therefore computed once per shape, degree
+bound and reduced row echelon form of that stack.  The memo holding it, the
+target list and the checker verdicts lives for one `run_grid` call (or one
+direct `achieved_set` / `check_instance` call) and no longer, and it uses
+the checkers bound in `CHECKERS` when the call starts.  With ``jobs > 1``
+the matrices are cut into contiguous chunks, each worker keeps its own
+memo, and the results are joined in grid order.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from .feasibility import (
     check_infinite_only,
 )
 from .fields import GF, FieldTag
-from .matrix import PolyMatrix, eigenstructure, stack_rows
+from .matrix import PolyMatrix, degree_of, eigenstructure, stack_rows
 from .poly import Poly
 from .realize import BudgetExceededError, all_completion_rows, enumerate_targets
 
@@ -68,12 +82,90 @@ def all_matrices(m: int, n: int, d: int, field: FieldTag):
         yield PolyMatrix.make([flat[i * n : (i + 1) * n] for i in range(m)], field)
 
 
-def achieved_set(P: PolyMatrix, z: int, dmax: int):
-    """Eigenstructures of all completions [P; W] with deg W <= dmax."""
-    out = set()
+def _coefficient_rows(M: PolyMatrix, dmax: int):
+    """The rows of the coefficient stack [M_0 M_1 ... M_dmax], columns
+    ordered by (entry, power): a fixed permutation, so equal row spaces
+    stay equal and distinct ones distinct."""
+    pad = (0,) * (dmax + 1)
+    return [[c for e in row for c in (e.coeffs + pad)[: dmax + 1]] for row in M.entries]
+
+
+def _rref(rows, p: int) -> tuple:
+    """Reduced row echelon form over GF(p) of the span of the rows, built
+    one row at a time; zero rows are dropped."""
+    basis = []  # (pivot column, row), reduced against each other
+    for row in rows:
+        for col, prow in basis:
+            c = row[col]
+            if c:
+                row = [(a - c * b) % p for a, b in zip(row, prow)]
+        col = next((i for i, c in enumerate(row) if c), None)
+        if col is None:
+            continue
+        if row[col] != 1:
+            inv = pow(row[col], -1, p)
+            row = [c * inv % p for c in row]
+        for k, (qcol, qrow) in enumerate(basis):
+            c = qrow[col]
+            if c:
+                basis[k] = (qcol, [(a - c * b) % p for a, b in zip(qrow, row)])
+        basis.append((col, row))
+    basis.sort(key=lambda cr: cr[0])
+    return tuple(tuple(row) for _, row in basis)
+
+
+def _stack_key(M: PolyMatrix, dmax: int, coeff_rows):
+    """Shape, degree bound and row space of the coefficient stack, which
+    `coeff_rows` span: matrices with one key share their eigenstructure."""
+    return (M.rows, M.cols, dmax, _rref(coeff_rows, M.field.p))
+
+
+class _GridContext:
+    """Memo for the matrices of one grid: eigenstructures by `_stack_key`,
+    target lists by shape, checker verdicts by projected target.  The
+    checkers are a copy of `checkers` (default `CHECKERS`) taken when the
+    context is made."""
+
+    def __init__(self, checkers=None):
+        self.checkers = dict(CHECKERS if checkers is None else checkers)
+        self.eigen = {}
+        self.targets = {}
+        self.verdicts = {}
+
+    def eigenstructure(self, key, M: PolyMatrix):
+        es = self.eigen.get(key)
+        if es is None:
+            es = self.eigen[key] = eigenstructure(M)
+        return es
+
+    def target_list(self, m: int, n: int, z: int, d: int, field: FieldTag):
+        key = (m, n, z, d, field)
+        if key not in self.targets:
+            self.targets[key] = list(enumerate_targets(m, n, z, d, field))
+        return self.targets[key]
+
+    def verdict(self, theorem: str, pinv, projected, cand, z: int) -> bool:
+        key = (theorem, pinv, projected)
+        if key not in self.verdicts:
+            target = target_from_eigenstructure(cand, z, theorem)
+            self.verdicts[key] = self.checkers[theorem](pinv, target).feasible
+        return self.verdicts[key]
+
+
+def achieved_set(P: PolyMatrix, z: int, dmax: int, *, _ctx: _GridContext | None = None):
+    """Eigenstructures of all completions [P; W] with deg W <= dmax.
+
+    `_ctx` is the memo `run_grid` shares across a grid; without it a fresh
+    one is made."""
+    ctx = _ctx if _ctx is not None else _GridContext()
+    p_rows = list(_rref(_coefficient_rows(P, dmax), P.field.p))
+    found = {}
     for W in all_completion_rows(P.field, z, P.cols, dmax):
-        out.add(eigenstructure(stack_rows(P, W)))
-    return out
+        M = stack_rows(P, W)
+        key = _stack_key(M, dmax, p_rows + _coefficient_rows(W, dmax))
+        if key not in found:
+            found[key] = ctx.eigenstructure(key, M)
+    return set(found.values())
 
 
 def project(es, theorem: str):
@@ -118,21 +210,23 @@ CHECKERS = {
 }
 
 
-def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS):
+def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridContext | None = None):
     """Compare every checker against brute force for one matrix.
 
     Returns mismatch records (theorem, target eigenstructure, checker
-    verdict, search verdict).
+    verdict, search verdict).  `_ctx` is as for `achieved_set`.
     """
-    pinv = eigenstructure(P)
-    d = pinv.degree
-    achieved = achieved_set(P, z, d)
+    ctx = _ctx if _ctx is not None else _GridContext()
+    d = degree_of(P)
+    pinv = ctx.eigenstructure(_stack_key(P, d, _coefficient_rows(P, d)), P)
+    achieved = achieved_set(P, z, d, _ctx=ctx)
     r, n = pinv.rank, P.cols
+    targets = ctx.target_list(P.rows, n, z, d, P.field)
     mismatches = []
     for theorem in theorems:
         truth = {project(es, theorem) for es in achieved}
         seen = set()
-        for cand in enumerate_targets(P.rows, n, z, d, P.field):
+        for cand in targets:
             x = cand.rank - r
             if not 0 <= x <= min(z, n - r):
                 continue
@@ -140,8 +234,7 @@ def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS):
             if key in seen:
                 continue
             seen.add(key)
-            target = target_from_eigenstructure(cand, z, theorem)
-            verdict = CHECKERS[theorem](pinv, target).feasible
+            verdict = ctx.verdict(theorem, pinv, key, cand, z)
             if verdict != (key in truth):
                 mismatches.append(
                     {
@@ -163,24 +256,24 @@ def grid_size(spec: GridSpec) -> int:
     return n_mats * n_rows
 
 
-def _worker(args):
-    P, z, theorems = args
-    return check_instance(P, z, theorems)
+def _check_chunk(args):
+    """Mismatches of consecutive grid matrices, sharing one memo."""
+    mats, z, theorems, checkers = args
+    ctx = _GridContext(checkers)
+    return [rec for P in mats for rec in check_instance(P, z, theorems, _ctx=ctx)]
 
 
 def run_grid(spec: GridSpec, theorems=THEOREMS, budget: int | None = None, jobs: int = 1):
     """All mismatches over the grid; empty list means checkers and
-    exhaustive search agree everywhere."""
+    exhaustive search agree everywhere.  The order is the grid order, for
+    any number of jobs."""
     if budget is not None and grid_size(spec) > budget:
         raise BudgetExceededError(grid_size(spec), budget)
     mats = list(all_matrices(spec.m, spec.n, spec.d, spec.field))
-    work = [(P, spec.z, tuple(theorems)) for P in mats]
-    mismatches = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for found in pool.map(_worker, work, chunksize=8):
-                mismatches.extend(found)
-    else:
-        for item in work:
-            mismatches.extend(_worker(item))
-    return mismatches
+    theorems = tuple(theorems)
+    if jobs <= 1:
+        return _check_chunk((mats, spec.z, theorems, CHECKERS))
+    size = -(-len(mats) // jobs) or 1
+    work = [(mats[i : i + size], spec.z, theorems, CHECKERS) for i in range(0, len(mats), size)]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [rec for found in pool.map(_check_chunk, work) for rec in found]

@@ -68,7 +68,6 @@ class SearchBudget:
     """Cap on exhaustive enumeration size; refused up front when exceeded."""
 
     limit: int
-    jobs: int = 1
 
 
 def _companion_pencil(alpha: Poly) -> PolyMatrix:

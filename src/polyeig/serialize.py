@@ -134,21 +134,6 @@ def _parse_hom(doc, field: FieldTag) -> HomogPoly:
         raise FormatError(str(exc)) from exc
 
 
-def emit_target(t: CompletionTarget):
-    out = {"rank": t.rank}
-    if t.hom_factors is not None:
-        out["hom_factors"] = [{"alpha": emit_poly(h.alpha), "e": h.e} for h in t.hom_factors]
-    if t.finite_factors is not None:
-        out["finite_factors"] = [emit_poly(p) for p in t.finite_factors]
-    if t.inf_mults is not None:
-        out["inf_mults"] = list(t.inf_mults)
-    if t.col_indices is not None:
-        out["col_indices"] = list(t.col_indices)
-    if t.row_indices is not None:
-        out["row_indices"] = list(t.row_indices)
-    return out
-
-
 def parse_target(doc, z: int, field: FieldTag) -> CompletionTarget:
     """Partial eigenstructure: absent keys mean unprescribed."""
     if not isinstance(doc, dict):
