@@ -11,22 +11,11 @@ import json
 import os
 import sys
 
-from .feasibility import (
-    CompletionTarget,
-    ConstantMatrixError,
-    InvalidTargetError,
-    check_existence,
-    check_full,
-    check_hom_only,
-    check_hom_plus_cols,
-    check_hom_plus_rows,
-    check_finite_only,
-    check_infinite_only,
-)
+from .feasibility import CHECKERS, ConstantMatrixError, InvalidTargetError, check_existence
 from .fields import QQ, FieldMismatchError, FieldTag, GF
-from .matrix import ZeroMatrixError, eigenstructure, stack_rows
+from .matrix import ZeroMatrixError, eigenstructure
 from .oracle import GridSpec, all_matrices, run_grid
-from .realize import BudgetExceededError, realize_low_degree
+from .realize import BudgetExceededError, realize_low_degree, search_space_size
 from .serialize import (
     FormatError,
     emit_eigenstructure,
@@ -45,15 +34,6 @@ EXIT_BUDGET = 4
 
 BUDGET_ENV = "POLYEIG_BUDGET"
 DEFAULT_BUDGET = 1 << 22
-
-CHECKERS = {
-    "full": check_full,
-    "hom+cols": check_hom_plus_cols,
-    "hom+rows": check_hom_plus_rows,
-    "hom": check_hom_only,
-    "finite": check_finite_only,
-    "infinite": check_infinite_only,
-}
 
 
 class CliError(Exception):
@@ -147,9 +127,9 @@ def cmd_realize(args) -> int:
         _emit({"result": "not-found", "reason": "target degree exceeds --max-deg"})
         return EXIT_INFEASIBLE
     budget = args.budget if args.budget is not None else _default_budget()
-    size = field.p ** (target.nrows * target.ncols * (target.degree + 1))
+    size = search_space_size(field, target.nrows, target.ncols, target.degree)
     if size > budget:
-        raise CliError(EXIT_BUDGET, f"enumeration of {size} candidates exceeds budget {budget}")
+        raise BudgetExceededError(size, budget)
     for cand in all_matrices(target.nrows, target.ncols, target.degree, field):
         if eigenstructure(cand) == target:
             _emit(emit_matrix(cand))
@@ -199,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--target", required=True, help="target JSON file (partial eigenstructure)")
     p_check.add_argument(
         "--theorem",
-        choices=["full", "hom+cols", "hom+rows", "hom", "finite", "infinite", "exists"],
+        choices=[*CHECKERS, "exists"],
         default="full",
     )
     p_check.set_defaults(func=cmd_check)

@@ -13,11 +13,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .homog import HOMOG_ZERO, chain_at, homog_deg, homog_divides, homog_lcm, is_divisibility_chain
+from .homog import chain_at, homog_deg, homog_divides, homog_lcm, is_divisibility_chain
 from .matrix import Eigenstructure
 from .poly import Poly, poly_divides, poly_lcm, poly_one
 from .sequences import (
-    NEG_INF,
     POS_INF,
     ensure_nonincreasing,
     ensure_partition,
@@ -86,6 +85,19 @@ class CompletionTarget:
             ensure_partition(self.row_indices, "target row indices")
 
 
+# The parts of a CompletionTarget that each completion theorem prescribes,
+# by theorem name.  With `CHECKERS` below it is the one place a theorem is
+# defined: the checkers, the oracle and the CLI all read these two tables.
+PRESCRIBES = {
+    "full": ("hom_factors", "col_indices", "row_indices"),
+    "hom+cols": ("hom_factors", "col_indices"),
+    "hom+rows": ("hom_factors", "row_indices"),
+    "hom": ("hom_factors",),
+    "finite": ("finite_factors",),
+    "infinite": ("inf_mults",),
+}
+
+
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Outcome of a feasibility check: violated condition names plus the
@@ -97,15 +109,6 @@ class FeasibilityReport:
     @property
     def feasible(self) -> bool:
         return not self.violations
-
-
-def _report(violations, details) -> FeasibilityReport:
-    # preserve first-occurrence order, drop duplicates
-    seen = []
-    for v in violations:
-        if v not in seen:
-            seen.append(v)
-    return FeasibilityReport(tuple(seen), details)
 
 
 def _dls(phi, gamma, offset: int, upper: int) -> int:
@@ -145,15 +148,24 @@ def _check_gap_shape(a, b, interlacing_ok: bool, label: str):
         )
 
 
-def build_gaps_row_form(phi, gamma, u, v, x: int, z: int, d: int):
-    """Gap sequences a (length x) and b (length z-x) expressed through the
-    row minimal indices u of P and v of the completion."""
+def _row_lead(gamma, u, v) -> int:
+    """sum v - sum u + sum deg gamma: the leading gap term and the
+    degree-sum bound in the row form."""
+    return sum(v) - sum(u) + sum(homog_deg(g) for g in gamma)
+
+
+def _col_lead(phi, c, dd, x: int, d: int) -> int:
+    """sum c - sum dd + sum deg phi + x d: the same in the column form."""
+    return sum(c) - sum(dd) + sum(homog_deg(p) for p in phi) + x * d
+
+
+def _gaps(phi, gamma, lead: int, x: int, z: int, d: int, label: str):
+    """Gap sequences a (length x) and b (length z-x); the two forms differ
+    only in the leading term `lead` of a_1 and b_1."""
     r = len(phi)
-    su, sv = sum(u), sum(v)
-    sg = sum(homog_deg(g) for g in gamma)
     a = []
     if x >= 1:
-        a.append(sv - su + sg - _dls(phi, gamma, -x + 1, r + x - 1) - d)
+        a.append(lead - _dls(phi, gamma, -x + 1, r + x - 1) - d)
         for j in range(2, x + 1):
             a.append(
                 _dls(phi, gamma, -x + j - 1, r + x - j + 1)
@@ -162,56 +174,34 @@ def build_gaps_row_form(phi, gamma, u, v, x: int, z: int, d: int):
             )
     b = []
     if z - x >= 1:
-        b.append(sv - su + sg - _dls(phi, gamma, -x - 1, r + x))
+        b.append(lead - _dls(phi, gamma, -x - 1, r + x))
         for j in range(2, z - x + 1):
             b.append(
                 _dls(phi, gamma, -x - j + 1, r + x) - _dls(phi, gamma, -x - j, r + x)
             )
     a, b = tuple(a), tuple(b)
-    _check_gap_shape(a, b, _interlaces(phi, gamma, z), "row-form")
+    _check_gap_shape(a, b, _interlaces(phi, gamma, z), label)
     return a, b
+
+
+def build_gaps_row_form(phi, gamma, u, v, x: int, z: int, d: int):
+    """Gap sequences a (length x) and b (length z-x) expressed through the
+    row minimal indices u of P and v of the completion."""
+    return _gaps(phi, gamma, _row_lead(gamma, u, v), x, z, d, "row-form")
 
 
 def build_gaps_col_form(phi, gamma, c, dd, x: int, z: int, d: int):
     """Gap sequences expressed through the column minimal indices c of P
     and dd of the completion; only the leading entries differ from the
     row form."""
-    r = len(phi)
-    sc, sd = sum(c), sum(dd)
-    sp = sum(homog_deg(p) for p in phi)
-    a = []
-    if x >= 1:
-        a.append(sc - sd + sp - _dls(phi, gamma, -x + 1, r + x - 1) + (x - 1) * d)
-        for j in range(2, x + 1):
-            a.append(
-                _dls(phi, gamma, -x + j - 1, r + x - j + 1)
-                - _dls(phi, gamma, -x + j, r + x - j)
-                - d
-            )
-    b = []
-    if z - x >= 1:
-        b.append(sc - sd + sp - _dls(phi, gamma, -x - 1, r + x) + x * d)
-        for j in range(2, z - x + 1):
-            b.append(
-                _dls(phi, gamma, -x - j + 1, r + x) - _dls(phi, gamma, -x - j, r + x)
-            )
-    a, b = tuple(a), tuple(b)
-    _check_gap_shape(a, b, _interlaces(phi, gamma, z), "col-form")
-    return a, b
+    return _gaps(phi, gamma, _col_lead(phi, c, dd, x, d), x, z, d, "col-form")
 
 
-def _safe_gen_majorizes(g, dseq, a) -> bool:
-    """gen_majorizes, treating malformed inputs (possible only when another
+def _holds(test, *args) -> bool:
+    """test(*args), treating malformed inputs (possible only when another
     condition already failed) as a violation."""
     try:
-        return gen_majorizes(g, dseq, a)
-    except ValueError:
-        return False
-
-
-def _safe_majorizes(g, dseq) -> bool:
-    try:
-        return majorizes(g, dseq)
+        return test(*args)
     except ValueError:
         return False
 
@@ -227,11 +217,13 @@ def check_existence(target: Eigenstructure) -> FeasibilityReport:
         violations.append("gamma1-at-infinity")
     if not target.index_sum_holds():
         violations.append("index-sum")
-    return _report(violations, {})
+    return FeasibilityReport(tuple(violations), {})
 
 
-def _validate(pinv: Eigenstructure, target: CompletionTarget):
-    """Common validation; returns (r, x, d, n, m)."""
+def _validate(pinv: Eigenstructure, target: CompletionTarget, theorem: str):
+    """Validation common to the completion checkers: P of degree >= 1, the
+    rank excess in range, every part `theorem` prescribes present, and the
+    prescribed index lists of the right length.  Returns (r, x, d, n, m)."""
     if pinv.degree < 1:
         raise ConstantMatrixError("completion checkers require degree >= 1")
     r, n, m = pinv.rank, pinv.ncols, pinv.nrows
@@ -240,100 +232,97 @@ def _validate(pinv: Eigenstructure, target: CompletionTarget):
         raise InvalidTargetError(
             f"rank excess x={x} must satisfy 0 <= x <= min(z={target.z}, n-r={n - r})"
         )
+    parts = PRESCRIBES[theorem]
+    missing = [part for part in parts if getattr(target, part) is None]
+    if missing:
+        raise InvalidTargetError(f"the {theorem} check needs {', '.join(missing)}")
+    if "col_indices" in parts and len(target.col_indices) != n - r - x:
+        raise InvalidTargetError(f"expected {n - r - x} column indices, got {len(target.col_indices)}")
+    if "row_indices" in parts and len(target.row_indices) != m + target.z - r - x:
+        raise InvalidTargetError(f"expected {m + target.z - r - x} row indices, got {len(target.row_indices)}")
     return r, x, pinv.degree, n, m
 
 
-def check_full(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
-    """Full prescription: homogeneous chain plus both minimal index lists."""
-    r, x, d, n, m = _validate(pinv, target)
-    z = target.z
-    if target.hom_factors is None or target.col_indices is None or target.row_indices is None:
-        raise InvalidTargetError("full check needs homogeneous factors and both index lists")
-    gamma, dd, v = target.hom_factors, target.col_indices, target.row_indices
-    if len(dd) != n - r - x:
-        raise InvalidTargetError(f"expected {n - r - x} column indices, got {len(dd)}")
-    if len(v) != m + z - r - x:
-        raise InvalidTargetError(f"expected {m + z - r - x} row indices, got {len(v)}")
+def _prefix_cuts(c, a):
+    """The prefix-cut conditions of Lemma 4.5 under which some d with
+    c <' (d, a) exists, for x = len(a) < len(c).  Returns the threshold ell
+    (least j with prefix(c, j) > prefix(a, j)), whether the cut at ell
+    holds, and whether every tail cut past it holds."""
+    x = len(a)
+    ell = x + 1  # past position x the gap sequence a counts as -infinity
+    for j in range(1, x + 1):
+        if prefix_sum(c, j) > prefix_sum(a, j):
+            ell = j
+            break
+    sum_ok = prefix_sum(c, x + 1) - seq_get(c, ell) >= prefix_sum(a, x)
+    tail_ok = all(sum(c[j + 1 : x + 1]) >= sum(a[j:x]) for j in range(ell, x))
+    return ell, sum_ok, tail_ok
+
+
+def _chain_check(pinv: Eigenstructure, target: CompletionTarget, theorem: str, col_form: bool):
+    """The theorems that prescribe the homogeneous chain with one or both
+    minimal index lists.  A condition applies when `theorem` prescribes the
+    index list it reads, whatever else the target carries.  The gap
+    sequences and the degree sum are taken in the row form (through u and
+    v) or in the column form (through c and dd)."""
+    r, x, d, n, m = _validate(pinv, target, theorem)
+    parts = PRESCRIBES[theorem]
+    cols, rows = "col_indices" in parts, "row_indices" in parts
+    z, gamma, dd, v = target.z, target.hom_factors, target.col_indices, target.row_indices
     phi, u, c = pinv.hom_factors, pinv.row_indices, pinv.col_indices
 
     violations = []
     if not _interlaces(phi, gamma, z):
         violations.append("interlacing")
-    eta = sum(1 for t in u if t > 0)
-    eta_bar = sum(1 for t in v if t > 0)
-    if eta_bar < eta:
+    if rows and sum(1 for t in v if t > 0) < sum(1 for t in u if t > 0):
         violations.append("eta")
-    a, b = build_gaps_row_form(phi, gamma, u, v, x, z, d)
-    if not _safe_gen_majorizes(c, dd, a):
+    if col_form:
+        a, b = build_gaps_col_form(phi, gamma, c, dd, x, z, d)
+        lead, exact = _col_lead(phi, c, dd, x, d), x == z
+    else:
+        a, b = build_gaps_row_form(phi, gamma, u, v, x, z, d)
+        lead, exact = _row_lead(gamma, u, v), x == 0
+    details = {"x": x, "a": a, "b": b}
+    if cols and not _holds(gen_majorizes, c, dd, a):
         violations.append("col-gen-majorization")
-    if not _safe_gen_majorizes(v, u, b):
+    if rows and not _holds(gen_majorizes, v, u, b):
         violations.append("row-gen-majorization")
     lhs = _dls(phi, gamma, -x, r + x)
-    rhs = sum(v) - sum(u) + sum(homog_deg(g) for g in gamma)
-    if (lhs != rhs) if x == 0 else (lhs > rhs):
+    if (lhs != lead) if exact else (lhs > lead):
         violations.append("degree-sum")
-    return _report(violations, {"x": x, "a": a, "b": b})
+    if not cols:
+        # the column indices are free: some dd with c <' (dd, a) must exist
+        if x == n - r:
+            if not _holds(majorizes, c, a):
+                violations.append("c-majorization")
+        else:
+            details["ell"], sum_ok, tail_ok = _prefix_cuts(c, a)
+            if not sum_ok:
+                violations.append("c-sum-ell")
+            if not tail_ok:
+                violations.append("c-sum-tail")
+    return FeasibilityReport(tuple(violations), details)
+
+
+def check_full(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
+    """Full prescription: homogeneous chain plus both minimal index lists."""
+    return _chain_check(pinv, target, "full", col_form=False)
 
 
 def check_full_colform(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
     """Equivalent evaluation of the full prescription through column
     minimal indices; exercised for the row/column-form agreement property."""
-    r, x, d, n, m = _validate(pinv, target)
-    z = target.z
-    gamma, dd, v = target.hom_factors, target.col_indices, target.row_indices
-    phi, u, c = pinv.hom_factors, pinv.row_indices, pinv.col_indices
-
-    violations = []
-    if not _interlaces(phi, gamma, z):
-        violations.append("interlacing")
-    eta = sum(1 for t in u if t > 0)
-    eta_bar = sum(1 for t in v if t > 0)
-    if eta_bar < eta:
-        violations.append("eta")
-    a, b = build_gaps_col_form(phi, gamma, c, dd, x, z, d)
-    if not _safe_gen_majorizes(c, dd, a):
-        violations.append("col-gen-majorization")
-    if not _safe_gen_majorizes(v, u, b):
-        violations.append("row-gen-majorization")
-    lhs = _dls(phi, gamma, -x, r + x)
-    rhs = sum(c) - sum(dd) + sum(homog_deg(p) for p in phi) + x * d
-    if (lhs != rhs) if x == z else (lhs > rhs):
-        violations.append("degree-sum")
-    return _report(violations, {"x": x, "a": a, "b": b})
+    return _chain_check(pinv, target, "full", col_form=True)
 
 
 def check_hom_plus_cols(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
     """Homogeneous chain plus column minimal indices prescribed."""
-    r, x, d, n, m = _validate(pinv, target)
-    z = target.z
-    if target.hom_factors is None or target.col_indices is None:
-        raise InvalidTargetError("needs homogeneous factors and column indices")
-    gamma, dd = target.hom_factors, target.col_indices
-    if len(dd) != n - r - x:
-        raise InvalidTargetError(f"expected {n - r - x} column indices, got {len(dd)}")
-    phi, u, c = pinv.hom_factors, pinv.row_indices, pinv.col_indices
-
-    violations = []
-    if not _interlaces(phi, gamma, z):
-        violations.append("interlacing")
-    a, b = build_gaps_col_form(phi, gamma, c, dd, x, z, d)
-    if not _safe_gen_majorizes(c, dd, a):
-        violations.append("col-gen-majorization")
-    lhs = _dls(phi, gamma, -x, r + x)
-    rhs = sum(c) - sum(dd) + sum(homog_deg(p) for p in phi) + x * d
-    if (lhs != rhs) if x == z else (lhs > rhs):
-        violations.append("degree-sum")
-    return _report(violations, {"x": x, "a": a, "b": b})
+    return _chain_check(pinv, target, "hom+cols", col_form=True)
 
 
-def _ell_threshold(c, a, x: int):
-    """Least j >= 1 with prefix(c, j) > prefix(a, j), padding a with -inf
-    past its length; always <= x+1 when len(c) > x."""
-    for j in range(1, len(c) + 1):
-        pa = prefix_sum(a, j) if j <= len(a) else NEG_INF
-        if prefix_sum(c, j) > pa:
-            return j
-    return None
+def check_hom_plus_rows(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
+    """Homogeneous chain plus row minimal indices prescribed."""
+    return _chain_check(pinv, target, "hom+rows", col_form=False)
 
 
 def construct_d(c, a):
@@ -348,87 +337,53 @@ def construct_d(c, a):
         raise ValueError("need len(c) > len(a)")
     if x == 0:
         return c
-    ell = _ell_threshold(c, a, x)
-    c_ell = seq_get(c, ell) if ell is not None else NEG_INF
-    if prefix_sum(c, x + 1) - c_ell < prefix_sum(a, x):
+    _, sum_ok, tail_ok = _prefix_cuts(c, a)
+    if not (sum_ok and tail_ok):
         return None
-    if ell is not None:
-        for j in range(ell, x):
-            if sum(c[j + 1 : x + 1]) < sum(a[j:x]):
-                return None
     d1 = prefix_sum(c, x + 1) - prefix_sum(a, x)
     dseq = (d1,) + tuple(c[x + 1 :])
     assert gen_majorizes(c, dseq, a), "constructed sequence must witness the majorization"
     return dseq
 
 
-def check_hom_plus_rows(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
-    """Homogeneous chain plus row minimal indices prescribed."""
-    r, x, d, n, m = _validate(pinv, target)
-    z = target.z
-    if target.hom_factors is None or target.row_indices is None:
-        raise InvalidTargetError("needs homogeneous factors and row indices")
-    gamma, v = target.hom_factors, target.row_indices
-    if len(v) != m + z - r - x:
-        raise InvalidTargetError(f"expected {m + z - r - x} row indices, got {len(v)}")
-    phi, u, c = pinv.hom_factors, pinv.row_indices, pinv.col_indices
-
-    violations = []
-    details = {"x": x}
-    if not _interlaces(phi, gamma, z):
-        violations.append("interlacing")
-    eta = sum(1 for t in u if t > 0)
-    eta_bar = sum(1 for t in v if t > 0)
-    if eta_bar < eta:
-        violations.append("eta")
-    a, b = build_gaps_row_form(phi, gamma, u, v, x, z, d)
-    details["a"], details["b"] = a, b
-    if not _safe_gen_majorizes(v, u, b):
-        violations.append("row-gen-majorization")
-    lhs = _dls(phi, gamma, -x, r + x)
-    rhs = sum(v) - sum(u) + sum(homog_deg(g) for g in gamma)
-    if (lhs != rhs) if x == 0 else (lhs > rhs):
-        violations.append("degree-sum")
-    if x == n - r:
-        if not _safe_majorizes(c, a):
-            violations.append("c-majorization")
-    else:
-        ell = _ell_threshold(c, a, x)
-        details["ell"] = ell
-        c_ell = seq_get(c, ell) if ell is not None else NEG_INF
-        if x >= 1 and prefix_sum(c, x + 1) - c_ell < prefix_sum(a, x):
-            violations.append("c-sum-ell")
-        if ell is not None:
-            for j in range(ell, x):
-                if sum(c[j + 1 : x + 1]) < sum(a[j:x]):
-                    violations.append("c-sum-tail")
-                    break
-    return _report(violations, details)
+def _degree_bounds(name: str, pinv: Eigenstructure, x: int, term, violations, details, exact=False):
+    """The family j = 0..x-1 of the hom-, finite- and infinite-only
+    theorems: term(j) + sum u + prefix(c, j) + sum c[x:] <= (r + x - j) d,
+    with equality at j = 0 when `exact`.  The failing j are listed in
+    details["failed_j"] under the one violation `name`."""
+    r, d, c = pinv.rank, pinv.degree, pinv.col_indices
+    base = sum(pinv.row_indices) + sum(c[x:])
+    failed = []
+    for j in range(x):
+        lhs = term(j) + base + prefix_sum(c, j)
+        rhs = (r + x - j) * d
+        if (lhs != rhs) if exact and j == 0 else (lhs > rhs):
+            failed.append(j)
+    if failed:
+        violations.append(name)
+        details["failed_j"] = failed
 
 
 def check_hom_only(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
     """Only the homogeneous invariant factor chain prescribed."""
-    r, x, d, n, m = _validate(pinv, target)
-    z = target.z
-    if target.hom_factors is None:
-        raise InvalidTargetError("needs homogeneous factors")
-    gamma = target.hom_factors
-    phi, u, c = pinv.hom_factors, pinv.row_indices, pinv.col_indices
-    su = sum(u)
-    tail_c = sum(c[x:])
+    r, x, d, n, m = _validate(pinv, target, "hom")
+    z, gamma = target.z, target.hom_factors
+    phi, c = pinv.hom_factors, pinv.col_indices
 
     violations = []
     details = {"x": x}
     if not _interlaces(phi, gamma, z):
         violations.append("interlacing")
     if x < z or x == n - r:
-        for j in range(x):
-            lhs = _dls(phi, gamma, j - x, r + x - j) + su + prefix_sum(c, j) + tail_c
-            rhs = (r + x - j) * d
-            exact = j == 0 and x == z == n - r
-            if (lhs != rhs) if exact else (lhs > rhs):
-                violations.append("hom-only-j")
-                details.setdefault("failed_j", []).append(j)
+        _degree_bounds(
+            "hom-only-j",
+            pinv,
+            x,
+            lambda j: _dls(phi, gamma, j - x, r + x - j),
+            violations,
+            details,
+            exact=x == z == n - r,
+        )
     else:  # x == z < n - r
         sp = sum(homog_deg(p) for p in phi)
         sg = sum(homog_deg(g) for g in gamma)
@@ -446,22 +401,17 @@ def check_hom_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasibilit
             if sum(c[j + 1 : x + 1]) < _dls(phi, gamma, j - x, r + x - j) - sp - (x - j) * d:
                 violations.append("c-sum-tail")
                 break
-    return _report(violations, details)
+    return FeasibilityReport(tuple(violations), details)
 
 
 def check_finite_only(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
     """Only the finite invariant factor chain prescribed."""
-    r, x, d, n, m = _validate(pinv, target)
+    r, x, d, n, m = _validate(pinv, target, "finite")
     z = target.z
-    if target.finite_factors is None:
-        raise InvalidTargetError("needs finite factors")
     beta = target.finite_factors
     alpha = pinv.alphas
-    u, c = pinv.row_indices, pinv.col_indices
     fld = pinv.hom_factors[0].field if pinv.hom_factors else beta[0].field
     se = sum(pinv.inf_mults)
-    su = sum(u)
-    tail_c = sum(c[x:])
 
     def beta_at(i):
         if i <= len(beta):
@@ -473,6 +423,12 @@ def check_finite_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasibi
             return poly_one(fld)
         return alpha[i - 1]
 
+    def term(j):
+        return se + sum(
+            poly_lcm(alpha_at(i - x + j), beta_at(i)).degree if i - x + j >= 1 else beta_at(i).degree
+            for i in range(1, r + x - j + 1)
+        )
+
     violations = []
     details = {"x": x}
     ok = all(
@@ -481,28 +437,17 @@ def check_finite_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasibi
     )
     if not ok:
         violations.append("interlacing")
-    for j in range(x):
-        lhs = se + su + prefix_sum(c, j) + tail_c
-        for i in range(1, r + x - j + 1):
-            lhs += poly_lcm(alpha_at(i - x + j), beta_at(i)).degree if i - x + j >= 1 else beta_at(i).degree
-        if lhs > (r + x - j) * d:
-            violations.append("finite-only-j")
-            details.setdefault("failed_j", []).append(j)
-    return _report(violations, details)
+    _degree_bounds("finite-only-j", pinv, x, term, violations, details)
+    return FeasibilityReport(tuple(violations), details)
 
 
 def check_infinite_only(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
     """Only the partial multiplicities of infinity prescribed."""
-    r, x, d, n, m = _validate(pinv, target)
+    r, x, d, n, m = _validate(pinv, target, "infinite")
     z = target.z
-    if target.inf_mults is None:
-        raise InvalidTargetError("needs multiplicities of infinity")
     f = tuple(int(t) for t in target.inf_mults)
     e = pinv.inf_mults
-    u, c = pinv.row_indices, pinv.col_indices
     sa = sum(a.degree for a in pinv.alphas)
-    su = sum(u)
-    tail_c = sum(c[x:])
 
     def f_at(i):
         return f[i - 1] if i <= len(f) else POS_INF
@@ -510,14 +455,23 @@ def check_infinite_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasi
     def e_at(i):
         return 0 if i < 1 else e[i - 1]
 
+    def term(j):
+        return sa + sum(max(e_at(i - x + j), f[i - 1]) for i in range(1, r + x - j + 1))
+
     violations = []
     details = {"x": x}
     if not all(f_at(i) <= e[i - 1] <= f_at(i + z) for i in range(1, r + 1)):
         violations.append("interlacing")
-    for j in range(x):
-        lhs = sa + su + prefix_sum(c, j) + tail_c
-        lhs += sum(max(e_at(i - x + j), f[i - 1]) for i in range(1, r + x - j + 1))
-        if lhs > (r + x - j) * d:
-            violations.append("infinite-only-j")
-            details.setdefault("failed_j", []).append(j)
-    return _report(violations, details)
+    _degree_bounds("infinite-only-j", pinv, x, term, violations, details)
+    return FeasibilityReport(tuple(violations), details)
+
+
+# Theorem name -> checker; `PRESCRIBES` above gives the parts each one reads.
+CHECKERS = {
+    "full": check_full,
+    "hom+cols": check_hom_plus_cols,
+    "hom+rows": check_hom_plus_rows,
+    "hom": check_hom_only,
+    "finite": check_finite_only,
+    "infinite": check_infinite_only,
+}

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .fields import FieldTag, same_field
 from .homog import HomogPoly, is_divisibility_chain
 from .poly import Poly, poly_zero
+from .sequences import ensure_partition
 
 
 class ZeroMatrixError(ValueError):
@@ -99,6 +100,8 @@ class Eigenstructure:
     ncols: int
 
     def __post_init__(self):
+        if self.degree < 0:
+            raise ValueError("degree must be nonnegative")
         if self.rank < 0 or self.rank > min(self.nrows, self.ncols):
             raise ValueError("rank out of range")
         if len(self.hom_factors) != self.rank:
@@ -109,6 +112,8 @@ class Eigenstructure:
             raise ValueError("row index count must be rows - rank")
         if not is_divisibility_chain(self.hom_factors):
             raise ValueError("homogeneous factors must form a divisibility chain")
+        ensure_partition(self.col_indices, "column minimal indices")
+        ensure_partition(self.row_indices, "row minimal indices")
 
     @property
     def alphas(self) -> tuple:

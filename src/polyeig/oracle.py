@@ -25,22 +25,22 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from operator import attrgetter
 
-from .feasibility import (
-    CompletionTarget,
-    check_full,
-    check_hom_only,
-    check_hom_plus_cols,
-    check_hom_plus_rows,
-    check_finite_only,
-    check_infinite_only,
-)
+from .feasibility import CHECKERS, PRESCRIBES, CompletionTarget
 from .fields import GF, FieldTag
 from .matrix import PolyMatrix, degree_of, eigenstructure, stack_rows
 from .poly import Poly
-from .realize import BudgetExceededError, all_completion_rows, enumerate_targets
+from .realize import BudgetExceededError, all_completion_rows, enumerate_targets, search_space_size
 
-THEOREMS = ("full", "hom+cols", "hom+rows", "hom", "finite", "infinite")
+THEOREMS = tuple(CHECKERS)
+
+# Per theorem, (rank, *prescribed parts) of an eigenstructure, in the order
+# of PRESCRIBES; the finite factors of an eigenstructure are its alphas.
+_PROJECTIONS = {
+    theorem: attrgetter("rank", *("alphas" if part == "finite_factors" else part for part in parts))
+    for theorem, parts in PRESCRIBES.items()
+}
 
 
 @dataclass(frozen=True)
@@ -170,44 +170,15 @@ def achieved_set(P: PolyMatrix, z: int, dmax: int, *, _ctx: _GridContext | None 
 
 def project(es, theorem: str):
     """The part of an eigenstructure each theorem prescribes."""
-    if theorem == "full":
-        return (es.rank, es.hom_factors, es.col_indices, es.row_indices)
-    if theorem == "hom+cols":
-        return (es.rank, es.hom_factors, es.col_indices)
-    if theorem == "hom+rows":
-        return (es.rank, es.hom_factors, es.row_indices)
-    if theorem == "hom":
-        return (es.rank, es.hom_factors)
-    if theorem == "finite":
-        return (es.rank, es.alphas)
-    if theorem == "infinite":
-        return (es.rank, es.inf_mults)
-    raise ValueError(f"unknown theorem {theorem!r}")
+    try:
+        return _PROJECTIONS[theorem](es)
+    except KeyError:
+        raise ValueError(f"unknown theorem {theorem!r}") from None
 
 
 def target_from_eigenstructure(es, z: int, theorem: str) -> CompletionTarget:
-    kw = {"z": z, "rank": es.rank}
-    if theorem in ("full", "hom+cols", "hom+rows", "hom"):
-        kw["hom_factors"] = es.hom_factors
-    if theorem in ("full", "hom+cols"):
-        kw["col_indices"] = es.col_indices
-    if theorem in ("full", "hom+rows"):
-        kw["row_indices"] = es.row_indices
-    if theorem == "finite":
-        kw["finite_factors"] = es.alphas
-    if theorem == "infinite":
-        kw["inf_mults"] = es.inf_mults
-    return CompletionTarget(**kw)
-
-
-CHECKERS = {
-    "full": check_full,
-    "hom+cols": check_hom_plus_cols,
-    "hom+rows": check_hom_plus_rows,
-    "hom": check_hom_only,
-    "finite": check_finite_only,
-    "infinite": check_infinite_only,
-}
+    rank, *parts = project(es, theorem)
+    return CompletionTarget(z=z, rank=rank, **dict(zip(PRESCRIBES[theorem], parts)))
 
 
 def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridContext | None = None):
@@ -250,10 +221,8 @@ def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridConte
 
 def grid_size(spec: GridSpec) -> int:
     """Completions examined: (#P) x (#W per P)."""
-    p = spec.field.p
-    n_mats = p ** (spec.m * spec.n * (spec.d + 1))
-    n_rows = p ** (spec.z * spec.n * (spec.d + 1))
-    return n_mats * n_rows
+    n_mats = search_space_size(spec.field, spec.m, spec.n, spec.d)
+    return n_mats * search_space_size(spec.field, spec.z, spec.n, spec.d)
 
 
 def _check_chunk(args):

@@ -188,11 +188,16 @@ def _all_polys_up_to(field: FieldTag, dmax: int):
 
 
 def all_completion_rows(field: FieldTag, z: int, n: int, dmax: int):
-    """All z x n matrices with entry degrees <= dmax, lexicographic order."""
+    """All z x n matrices with entry degrees <= dmax, lexicographic order.
+
+    The entries are normalised polynomials over `field` made here, so the
+    matrices are built directly, without the coercion and field checks of
+    `PolyMatrix.make`."""
+    if z < 1 or n < 1:
+        raise ValueError("matrix must have at least one row and column")
     polys = list(_all_polys_up_to(field, dmax))
     for flat in itertools.product(polys, repeat=z * n):
-        rows = [flat[i * n : (i + 1) * n] for i in range(z)]
-        yield PolyMatrix.make(rows, field)
+        yield PolyMatrix(tuple(flat[i * n : (i + 1) * n] for i in range(z)), field)
 
 
 def search_space_size(field: FieldTag, z: int, n: int, dmax: int) -> int:

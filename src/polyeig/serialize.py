@@ -20,6 +20,14 @@ class FormatError(ValueError):
     """Malformed input document."""
 
 
+def _int(doc, what: str) -> int:
+    """A JSON integer; bools and non-integral numbers are rejected, never
+    truncated."""
+    if isinstance(doc, bool) or not isinstance(doc, int):
+        raise FormatError(f"{what} must be an integer, got {doc!r}")
+    return doc
+
+
 def emit_field(field: FieldTag):
     return "Q" if field.is_rational else {"GF": field.p}
 
@@ -43,15 +51,13 @@ def emit_scalar(value, field: FieldTag):
 
 def parse_scalar(doc, field: FieldTag):
     if field.is_rational:
-        if isinstance(doc, (int, str)):
+        if isinstance(doc, (int, str)) and not isinstance(doc, bool):
             try:
                 return Fraction(doc)
             except (ValueError, ZeroDivisionError) as exc:
                 raise FormatError(f"bad rational {doc!r}") from exc
         raise FormatError(f"bad rational {doc!r}")
-    if not isinstance(doc, int):
-        raise FormatError(f"bad field element {doc!r}")
-    return doc % field.p
+    return _int(doc, "field element") % field.p
 
 
 def emit_poly(p: Poly):
@@ -109,17 +115,18 @@ def parse_eigenstructure(doc, field: FieldTag) -> Eigenstructure:
         if key not in doc:
             raise FormatError(f"eigenstructure document missing {key!r}")
     hom = tuple(_parse_hom(h, field) for h in doc["hom_factors"])
-    col = tuple(int(v) for v in doc["col_indices"])
-    row = tuple(int(v) for v in doc["row_indices"])
+    col = tuple(_int(v, "col_indices entry") for v in doc["col_indices"])
+    row = tuple(_int(v, "row_indices entry") for v in doc["row_indices"])
+    rank = _int(doc["rank"], "rank")
     try:
         return Eigenstructure(
-            degree=int(doc["degree"]),
-            rank=int(doc["rank"]),
+            degree=_int(doc["degree"], "degree"),
+            rank=rank,
             hom_factors=hom,
             col_indices=col,
             row_indices=row,
-            nrows=int(doc["rank"]) + len(row),
-            ncols=int(doc["rank"]) + len(col),
+            nrows=rank + len(row),
+            ncols=rank + len(col),
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
@@ -129,7 +136,7 @@ def _parse_hom(doc, field: FieldTag) -> HomogPoly:
     if not isinstance(doc, dict) or "alpha" not in doc or "e" not in doc:
         raise FormatError(f"bad homogeneous factor {doc!r}")
     try:
-        return HomogPoly(parse_poly(doc["alpha"], field), int(doc["e"]))
+        return HomogPoly(parse_poly(doc["alpha"], field), _int(doc["e"], "e"))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
@@ -140,17 +147,17 @@ def parse_target(doc, z: int, field: FieldTag) -> CompletionTarget:
         raise FormatError("target document must be an object")
     if "rank" not in doc:
         raise FormatError("target document missing 'rank'")
-    kw = {"z": z, "rank": int(doc["rank"])}
+    kw = {"z": z, "rank": _int(doc["rank"], "rank")}
     if "hom_factors" in doc:
         kw["hom_factors"] = tuple(_parse_hom(h, field) for h in doc["hom_factors"])
     if "finite_factors" in doc:
         kw["finite_factors"] = tuple(parse_poly(p, field) for p in doc["finite_factors"])
     if "inf_mults" in doc:
-        kw["inf_mults"] = tuple(int(v) for v in doc["inf_mults"])
+        kw["inf_mults"] = tuple(_int(v, "inf_mults entry") for v in doc["inf_mults"])
     if "col_indices" in doc:
-        kw["col_indices"] = tuple(int(v) for v in doc["col_indices"])
+        kw["col_indices"] = tuple(_int(v, "col_indices entry") for v in doc["col_indices"])
     if "row_indices" in doc:
-        kw["row_indices"] = tuple(int(v) for v in doc["row_indices"])
+        kw["row_indices"] = tuple(_int(v, "row_indices entry") for v in doc["row_indices"])
     try:
         return CompletionTarget(**kw)
     except ValueError as exc:

@@ -113,6 +113,17 @@ def test_realize_infeasible(tmp_path, capsys):
     assert code == 1 and doc["result"] == "infeasible"
 
 
+def test_realize_unsorted_indices_is_input_error(tmp_path, capsys):
+    t = write(
+        tmp_path,
+        "t.json",
+        {"degree": 1, "rank": 1, "hom_factors": [{"alpha": [1], "e": 0}], "col_indices": [0, 1], "row_indices": []},
+    )
+    assert main(["realize", "--target", t]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nonincreasing" in err
+
+
 def test_realize_search(tmp_path, capsys):
     t = write(
         tmp_path,
@@ -169,3 +180,42 @@ def test_rational_scalars_roundtrip():
     doc = emit_matrix(P)
     assert doc["entries"][0][0] == ["1/2", 2]
     assert parse_matrix(doc) == P
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"rank": 1.9},
+        {"rank": True},
+        {"rank": "1"},
+        {"rank": 1, "inf_mults": [0.0]},
+        {"rank": 1, "col_indices": [False]},
+        {"rank": 1, "row_indices": [1.5]},
+        {"rank": 1, "hom_factors": [{"alpha": [1], "e": 0.5}]},
+        {"rank": 1, "finite_factors": [[True]]},
+    ],
+)
+def test_target_integers_are_strict(doc):
+    from polyeig import GF
+    from polyeig.serialize import FormatError, parse_target
+
+    with pytest.raises(FormatError):
+        parse_target(doc, 1, GF(2))
+
+
+def test_eigenstructure_integers_are_strict(tmp_path, capsys):
+    from polyeig import QQ
+    from polyeig.serialize import FormatError, parse_eigenstructure, parse_scalar
+
+    good = {"degree": 1, "rank": 1, "hom_factors": [{"alpha": [0, 1], "e": 0}], "col_indices": [], "row_indices": [0]}
+    assert parse_eigenstructure(good, QQ).degree == 1
+    for key, bad in [("degree", 1.0), ("degree", True), ("rank", 1.2), ("row_indices", [True])]:
+        with pytest.raises(FormatError):
+            parse_eigenstructure({**good, key: bad}, QQ)
+    with pytest.raises(FormatError):
+        parse_scalar(True, QQ)
+    # through the CLI a truncating parse would have checked rank 1
+    mp = write(tmp_path, "m.json", MATRIX_S)
+    t = write(tmp_path, "t.json", {**good, "rank": 1.9})
+    assert main(["check", mp, "--add-rows", "1", "--target", t]) == 2
+    assert "rank must be an integer" in capsys.readouterr().err

@@ -108,10 +108,13 @@ def test_full_interlacing_and_eta():
 
 def test_full_requires_all_parts():
     pin = eigenstructure(M([[S]]))
-    with pytest.raises(InvalidTargetError):
-        check_full(pin, CompletionTarget(z=1, rank=1, hom_factors=(H(S),)))
-    with pytest.raises(InvalidTargetError):
-        check_full(pin, full_target(1, 1, (H(S),), (9,), (0,)))  # wrong lengths
+    for checker in (check_full, check_full_colform):
+        with pytest.raises(InvalidTargetError):
+            checker(pin, CompletionTarget(z=1, rank=1, hom_factors=(H(S),)))
+        with pytest.raises(InvalidTargetError):
+            checker(pin, full_target(1, 1, (H(S),), (9,), (0,)))  # wrong lengths
+        with pytest.raises(InvalidTargetError):
+            checker(pin, full_target(1, 1, (H(S),), (), (0, 0)))
 
 
 def test_constant_matrix_rejected():
@@ -235,6 +238,41 @@ def test_projection_self_consistency():
             for checker, target in _projected_targets(cand, 1).items():
                 assert checker(pin, target).feasible, checker.__name__
     assert hits > 0
+
+
+def test_unprescribed_parts_are_ignored():
+    # a target carrying all five parts gets the report of one carrying only
+    # the parts the theorem prescribes
+    from polyeig.feasibility import CHECKERS, PRESCRIBES
+    from polyeig.oracle import all_matrices, target_from_eigenstructure
+    from polyeig.realize import enumerate_targets
+
+    PARTS = ("hom_factors", "finite_factors", "inf_mults", "col_indices", "row_indices")
+    F = GF(2)
+    checkers = [*CHECKERS.items(), ("full", check_full_colform)]
+    compared = 0
+    for z in (1, 2):
+        cands = list(enumerate_targets(1, 2, z, 1, F))
+        for P in all_matrices(1, 2, 1, F):
+            pin = eigenstructure(P)
+            for cand in cands:
+                if not 0 <= cand.rank - pin.rank <= min(z, 2 - pin.rank):
+                    continue
+                every = CompletionTarget(
+                    z=z,
+                    rank=cand.rank,
+                    hom_factors=cand.hom_factors,
+                    finite_factors=cand.alphas,
+                    inf_mults=cand.inf_mults,
+                    col_indices=cand.col_indices,
+                    row_indices=cand.row_indices,
+                )
+                for theorem, checker in checkers:
+                    only = target_from_eigenstructure(cand, z, theorem)
+                    assert {f for f in PARTS if getattr(only, f) is not None} == set(PRESCRIBES[theorem])
+                    assert checker(pin, every) == checker(pin, only), (theorem, checker.__name__)
+                    compared += 1
+    assert compared > 2000
 
 
 def test_row_col_form_equivalence():

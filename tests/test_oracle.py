@@ -50,3 +50,18 @@ def test_parallel_run_matches_serial(monkeypatch):
 @pytest.mark.parametrize("grid", ["gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=2 d=1"])
 def test_no_mismatches_on_wider_grid(grid):
     assert run_grid(GridSpec.parse(grid)) == []
+
+
+def test_one_theorem_table():
+    from polyeig import feasibility
+
+    assert oracle.CHECKERS is feasibility.CHECKERS
+    assert oracle.THEOREMS == tuple(feasibility.PRESCRIBES) == tuple(feasibility.CHECKERS)
+    P = next(all_matrices(1, 2, 1, PLANT_GRID.field))
+    es = eigenstructure(P)
+    assert oracle.project(es, "full") == (es.rank, es.hom_factors, es.col_indices, es.row_indices)
+    assert oracle.project(es, "hom+rows") == (es.rank, es.hom_factors, es.row_indices)
+    assert oracle.project(es, "finite") == (es.rank, es.alphas)
+    assert oracle.project(es, "infinite") == (es.rank, es.inf_mults)
+    with pytest.raises(ValueError):
+        oracle.project(es, "exists")

@@ -149,3 +149,10 @@ def test_enumerate_budget():
     F = GF(2)
     with pytest.raises(BudgetExceededError):
         list(enumerate_targets(2, 2, 1, 2, F, budget=5))
+
+
+def test_completion_rows_need_a_row():
+    from polyeig.realize import all_completion_rows
+
+    with pytest.raises(ValueError):
+        next(all_completion_rows(GF(2), 0, 1, 1))
