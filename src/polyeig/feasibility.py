@@ -13,11 +13,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
-from .homog import chain_at, homog_deg, homog_divides, homog_lcm, is_divisibility_chain
+from .fields import QQ
+from .homog import HomogPoly, chain_at, homog_deg, homog_divides, homog_lcm, is_divisibility_chain
 from .matrix import Eigenstructure
-from .poly import Poly, poly_divides, poly_lcm, poly_one
+from .poly import Poly, poly_divides, poly_one
 from .sequences import (
-    POS_INF,
     ensure_nonincreasing,
     ensure_partition,
     gen_majorizes,
@@ -129,7 +129,7 @@ def _interlaces(phi, gamma, z: int) -> bool:
     )
 
 
-def _check_gap_shape(a, b, interlacing_ok: bool, label: str):
+def _check_gap_shape(a, b, label: str):
     # With the full hypotheses of the completion theorems the gap sequences
     # are nonincreasing with nonnegative b; interlacing alone does not
     # guarantee it (e.g. u=(1), v=(0,0) with unit chains gives b=(-1)), so
@@ -138,14 +138,7 @@ def _check_gap_shape(a, b, interlacing_ok: bool, label: str):
     monotone = all(p >= q for p, q in zip(a, a[1:])) and all(p >= q for p, q in zip(b, b[1:]))
     tail_ok = not b or b[-1] >= 0
     if not (monotone and tail_ok):
-        log.log(
-            logging.INFO if interlacing_ok else logging.DEBUG,
-            "%s gap sequences not monotone (interlacing=%s): a=%s b=%s",
-            label,
-            interlacing_ok,
-            a,
-            b,
-        )
+        log.debug("%s gap sequences not monotone: a=%s b=%s", label, a, b)
 
 
 def _row_lead(gamma, u, v) -> int:
@@ -180,7 +173,7 @@ def _gaps(phi, gamma, lead: int, x: int, z: int, d: int, label: str):
                 _dls(phi, gamma, -x - j + 1, r + x) - _dls(phi, gamma, -x - j, r + x)
             )
     a, b = tuple(a), tuple(b)
-    _check_gap_shape(a, b, _interlaces(phi, gamma, z), label)
+    _check_gap_shape(a, b, label)
     return a, b
 
 
@@ -346,22 +339,30 @@ def construct_d(c, a):
     return dseq
 
 
-def _degree_bounds(name: str, pinv: Eigenstructure, x: int, term, violations, details, exact=False):
-    """The family j = 0..x-1 of the hom-, finite- and infinite-only
-    theorems: term(j) + sum u + prefix(c, j) + sum c[x:] <= (r + x - j) d,
+def _chain_family(name, pinv: Eigenstructure, x: int, z: int, phi, gamma, offset: int, exact=False):
+    """The conditions of the homogeneous-only theorem on the chains phi of P
+    and gamma of the target: interlacing, then the family j = 0..x-1
+    offset + dls_j + sum u + prefix(c, j) + sum c[x:] <= (r + x - j) d,
     with equality at j = 0 when `exact`.  The failing j are listed in
-    details["failed_j"] under the one violation `name`."""
+    details["failed_j"] under the one violation `name`.  The finite- and
+    infinite-only theorems are these conditions on chains whose other half
+    is trivial, with that half's degree sum over P as `offset`."""
     r, d, c = pinv.rank, pinv.degree, pinv.col_indices
-    base = sum(pinv.row_indices) + sum(c[x:])
+    violations = []
+    details = {"x": x}
+    if not _interlaces(phi, gamma, z):
+        violations.append("interlacing")
+    base = offset + sum(pinv.row_indices) + sum(c[x:])
     failed = []
     for j in range(x):
-        lhs = term(j) + base + prefix_sum(c, j)
+        lhs = _dls(phi, gamma, j - x, r + x - j) + base + prefix_sum(c, j)
         rhs = (r + x - j) * d
         if (lhs != rhs) if exact and j == 0 else (lhs > rhs):
             failed.append(j)
     if failed:
         violations.append(name)
         details["failed_j"] = failed
+    return FeasibilityReport(tuple(violations), details)
 
 
 def check_hom_only(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
@@ -369,101 +370,54 @@ def check_hom_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasibilit
     r, x, d, n, m = _validate(pinv, target, "hom")
     z, gamma = target.z, target.hom_factors
     phi, c = pinv.hom_factors, pinv.col_indices
+    if x < z or x == n - r:
+        return _chain_family("hom-only-j", pinv, x, z, phi, gamma, 0, exact=x == z == n - r)
 
+    # x == z < n - r
     violations = []
     details = {"x": x}
     if not _interlaces(phi, gamma, z):
         violations.append("interlacing")
-    if x < z or x == n - r:
-        _degree_bounds(
-            "hom-only-j",
-            pinv,
-            x,
-            lambda j: _dls(phi, gamma, j - x, r + x - j),
-            violations,
-            details,
-            exact=x == z == n - r,
-        )
-    else:  # x == z < n - r
-        sp = sum(homog_deg(p) for p in phi)
-        sg = sum(homog_deg(g) for g in gamma)
-        # threshold index against the implicit gap sequence of length x;
-        # past position x the gap is -infinity, so the scan caps at x+1
-        ell = x + 1
-        for j in range(1, x + 1):
-            if prefix_sum(c, j) > sg - _dls(phi, gamma, j - x, r + x - j) - j * d:
-                ell = j
-                break
-        details["ell"] = ell
-        if prefix_sum(c, x + 1) - seq_get(c, ell) < sg - sp - x * d:
-            violations.append("c-sum-ell")
-        for j in range(ell, x):
-            if sum(c[j + 1 : x + 1]) < _dls(phi, gamma, j - x, r + x - j) - sp - (x - j) * d:
-                violations.append("c-sum-tail")
-                break
+    sp = sum(homog_deg(p) for p in phi)
+    sg = sum(homog_deg(g) for g in gamma)
+    # threshold index against the implicit gap sequence of length x;
+    # past position x the gap is -infinity, so the scan caps at x+1
+    ell = x + 1
+    for j in range(1, x + 1):
+        if prefix_sum(c, j) > sg - _dls(phi, gamma, j - x, r + x - j) - j * d:
+            ell = j
+            break
+    details["ell"] = ell
+    if prefix_sum(c, x + 1) - seq_get(c, ell) < sg - sp - x * d:
+        violations.append("c-sum-ell")
+    for j in range(ell, x):
+        if sum(c[j + 1 : x + 1]) < _dls(phi, gamma, j - x, r + x - j) - sp - (x - j) * d:
+            violations.append("c-sum-tail")
+            break
     return FeasibilityReport(tuple(violations), details)
 
 
 def check_finite_only(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
-    """Only the finite invariant factor chain prescribed."""
+    """Only the finite invariant factor chain prescribed: the homogeneous-only
+    conditions on the finite parts, (alpha, t^0) for P and (beta, t^0) for
+    the target, with the multiplicities of infinity of P as offset."""
     r, x, d, n, m = _validate(pinv, target, "finite")
-    z = target.z
-    beta = target.finite_factors
-    alpha = pinv.alphas
-    fld = pinv.hom_factors[0].field if pinv.hom_factors else beta[0].field
-    se = sum(pinv.inf_mults)
-
-    def beta_at(i):
-        if i <= len(beta):
-            return beta[i - 1]
-        return Poly((), fld)  # past the chain: the zero polynomial
-
-    def alpha_at(i):
-        if i < 1:
-            return poly_one(fld)
-        return alpha[i - 1]
-
-    def term(j):
-        return se + sum(
-            poly_lcm(alpha_at(i - x + j), beta_at(i)).degree if i - x + j >= 1 else beta_at(i).degree
-            for i in range(1, r + x - j + 1)
-        )
-
-    violations = []
-    details = {"x": x}
-    ok = all(
-        poly_divides(beta_at(i), alpha_at(i)) and poly_divides(alpha_at(i), beta_at(i + z))
-        for i in range(1, r + 1)
-    )
-    if not ok:
-        violations.append("interlacing")
-    _degree_bounds("finite-only-j", pinv, x, term, violations, details)
-    return FeasibilityReport(tuple(violations), details)
+    phi = tuple(HomogPoly(a, 0) for a in pinv.alphas)
+    gamma = tuple(HomogPoly(b, 0) for b in target.finite_factors)
+    return _chain_family("finite-only-j", pinv, x, target.z, phi, gamma, sum(pinv.inf_mults))
 
 
 def check_infinite_only(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
-    """Only the partial multiplicities of infinity prescribed."""
+    """Only the partial multiplicities of infinity prescribed: the
+    homogeneous-only conditions on the t-powers, (1, t^e) for P and
+    (1, t^f) for the target, with the finite degrees of P as offset."""
     r, x, d, n, m = _validate(pinv, target, "infinite")
-    z = target.z
-    f = tuple(int(t) for t in target.inf_mults)
-    e = pinv.inf_mults
-    sa = sum(a.degree for a in pinv.alphas)
-
-    def f_at(i):
-        return f[i - 1] if i <= len(f) else POS_INF
-
-    def e_at(i):
-        return 0 if i < 1 else e[i - 1]
-
-    def term(j):
-        return sa + sum(max(e_at(i - x + j), f[i - 1]) for i in range(1, r + x - j + 1))
-
-    violations = []
-    details = {"x": x}
-    if not all(f_at(i) <= e[i - 1] <= f_at(i + z) for i in range(1, r + 1)):
-        violations.append("interlacing")
-    _degree_bounds("infinite-only-j", pinv, x, term, violations, details)
-    return FeasibilityReport(tuple(violations), details)
+    # With rank-0 P no finite part of P meets the target's, so any field serves.
+    one = next((poly_one(h.field) for h in pinv.hom_factors), poly_one(QQ))
+    phi = tuple(HomogPoly(one, e) for e in pinv.inf_mults)
+    gamma = tuple(HomogPoly(one, int(f)) for f in target.inf_mults)
+    finite_degrees = sum(a.degree for a in pinv.alphas)
+    return _chain_family("infinite-only-j", pinv, x, target.z, phi, gamma, finite_degrees)
 
 
 # Theorem name -> checker; `PRESCRIBES` above gives the parts each one reads.

@@ -75,9 +75,6 @@ class FieldTag:
             raise ZeroDivisionError("inverse of zero field element")
         return 1 / Fraction(a) if self.p is None else pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self):
         """All field elements; only available for finite fields."""
         if self.p is None:

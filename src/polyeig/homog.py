@@ -94,6 +94,8 @@ def homog_lcm(phi, psi):
     if psi is HOMOG_ONE:
         return phi
     same_field(phi.field, psi.field)
+    if phi.alpha == psi.alpha:  # lcm(a, a) = a for monic a
+        return phi if phi.e >= psi.e else psi
     return HomogPoly(poly_lcm(phi.alpha, psi.alpha), max(phi.e, psi.e))
 
 

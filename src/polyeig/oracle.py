@@ -16,13 +16,15 @@ bound and reduced row echelon form of that stack.  The memo holding it, the
 target list and the checker verdicts lives for one `run_grid` call (or one
 direct `achieved_set` / `check_instance` call) and no longer, and it uses
 the checkers bound in `CHECKERS` when the call starts.  With ``jobs > 1``
-the matrices are cut into contiguous chunks, each worker keeps its own
-memo, and the results are joined in grid order.
+the matrices are cut into at most that many contiguous chunks, each worker
+keeps its own memo, and the results are joined in grid order; no more
+workers start than there are chunks or cores.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
@@ -50,6 +52,11 @@ class GridSpec:
     n: int
     z: int
     d: int
+
+    def __post_init__(self):
+        for name in ("m", "n", "z"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"grid needs {name} >= 1, got {getattr(self, name)}")
 
     @staticmethod
     def parse(text: str) -> "GridSpec":
@@ -244,5 +251,6 @@ def run_grid(spec: GridSpec, theorems=THEOREMS, budget: int | None = None, jobs:
         return _check_chunk((mats, spec.z, theorems, CHECKERS))
     size = -(-len(mats) // jobs) or 1
     work = [(mats[i : i + size], spec.z, theorems, CHECKERS) for i in range(0, len(mats), size)]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers up front: start only those that can be busy
+    with ProcessPoolExecutor(max_workers=min(jobs, len(work), os.cpu_count() or 1)) as pool:
         return [rec for found in pool.map(_check_chunk, work) for rec in found]

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from .feasibility import check_existence
 from .fields import FieldTag
 from .homog import HomogPoly
-from .matrix import Eigenstructure, PolyMatrix, degree_of, eigenstructure, stack_rows
+from .matrix import (
+    Eigenstructure,
+    PolyMatrix,
+    companion_form,
+    degree_of,
+    eigenstructure,
+    stack_rows,
+)
 from .poly import Poly, poly_one
 
 
@@ -70,28 +77,6 @@ class SearchBudget:
     limit: int
 
 
-def _companion_pencil(alpha: Poly) -> PolyMatrix:
-    """k x k pencil with single nontrivial invariant factor alpha."""
-    f = alpha.field
-    k = alpha.degree
-    a = alpha.coeffs  # ascending; monic, so a[k] == 1
-    rows = []
-    first = [Poly.make([a[k - 1], f.one], f)]
-    first += [Poly.make([a[k - 1 - j]], f) for j in range(1, k)]
-    rows.append(tuple(first))
-    for i in range(1, k):
-        row = []
-        for j in range(k):
-            if j == i - 1:
-                row.append(Poly.make([f.neg(f.one)], f))
-            elif j == i:
-                row.append(Poly.make([f.zero, f.one], f))
-            else:
-                row.append(Poly((), f))
-        rows.append(tuple(row))
-    return PolyMatrix(tuple(rows), f)
-
-
 def kronecker_block(kind, field: FieldTag | None = None) -> PolyMatrix:
     """The canonical pencil block for the given kind.
 
@@ -100,7 +85,7 @@ def kronecker_block(kind, field: FieldTag | None = None) -> PolyMatrix:
     by zero padding instead.
     """
     if isinstance(kind, Companion):
-        return _companion_pencil(kind.alpha)
+        return companion_form(PolyMatrix(((kind.alpha,),), kind.alpha.field))
     if field is None:
         raise ValueError("field required for parameterized blocks")
     f = field

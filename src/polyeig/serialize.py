@@ -28,6 +28,13 @@ def _int(doc, what: str) -> int:
     return doc
 
 
+def _list(doc, what: str) -> list:
+    """A JSON list; anything else is rejected before it is iterated."""
+    if not isinstance(doc, list):
+        raise FormatError(f"{what} must be a list, got {doc!r}")
+    return doc
+
+
 def emit_field(field: FieldTag):
     return "Q" if field.is_rational else {"GF": field.p}
 
@@ -37,7 +44,7 @@ def parse_field(doc) -> FieldTag:
         return QQ
     if isinstance(doc, dict) and set(doc) == {"GF"}:
         try:
-            return GF(int(doc["GF"]))
+            return GF(_int(doc["GF"], "GF characteristic"))
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
     raise FormatError(f"unrecognized field {doc!r}")
@@ -114,9 +121,9 @@ def parse_eigenstructure(doc, field: FieldTag) -> Eigenstructure:
     for key in ("degree", "rank", "hom_factors", "col_indices", "row_indices"):
         if key not in doc:
             raise FormatError(f"eigenstructure document missing {key!r}")
-    hom = tuple(_parse_hom(h, field) for h in doc["hom_factors"])
-    col = tuple(_int(v, "col_indices entry") for v in doc["col_indices"])
-    row = tuple(_int(v, "row_indices entry") for v in doc["row_indices"])
+    hom = tuple(_parse_hom(h, field) for h in _list(doc["hom_factors"], "hom_factors"))
+    col = tuple(_int(v, "col_indices entry") for v in _list(doc["col_indices"], "col_indices"))
+    row = tuple(_int(v, "row_indices entry") for v in _list(doc["row_indices"], "row_indices"))
     rank = _int(doc["rank"], "rank")
     try:
         return Eigenstructure(
@@ -149,15 +156,16 @@ def parse_target(doc, z: int, field: FieldTag) -> CompletionTarget:
         raise FormatError("target document missing 'rank'")
     kw = {"z": z, "rank": _int(doc["rank"], "rank")}
     if "hom_factors" in doc:
-        kw["hom_factors"] = tuple(_parse_hom(h, field) for h in doc["hom_factors"])
+        kw["hom_factors"] = tuple(
+            _parse_hom(h, field) for h in _list(doc["hom_factors"], "hom_factors")
+        )
     if "finite_factors" in doc:
-        kw["finite_factors"] = tuple(parse_poly(p, field) for p in doc["finite_factors"])
-    if "inf_mults" in doc:
-        kw["inf_mults"] = tuple(_int(v, "inf_mults entry") for v in doc["inf_mults"])
-    if "col_indices" in doc:
-        kw["col_indices"] = tuple(_int(v, "col_indices entry") for v in doc["col_indices"])
-    if "row_indices" in doc:
-        kw["row_indices"] = tuple(_int(v, "row_indices entry") for v in doc["row_indices"])
+        kw["finite_factors"] = tuple(
+            parse_poly(p, field) for p in _list(doc["finite_factors"], "finite_factors")
+        )
+    for key in ("inf_mults", "col_indices", "row_indices"):
+        if key in doc:
+            kw[key] = tuple(_int(v, f"{key} entry") for v in _list(doc[key], key))
     try:
         return CompletionTarget(**kw)
     except ValueError as exc:

@@ -219,3 +219,40 @@ def test_eigenstructure_integers_are_strict(tmp_path, capsys):
     t = write(tmp_path, "t.json", {**good, "rank": 1.9})
     assert main(["check", mp, "--add-rows", "1", "--target", t]) == 2
     assert "rank must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "theorem, doc",
+    [
+        ("full", {"rank": 1, "hom_factors": [{"alpha": [0, 1], "e": 0}], "col_indices": [], "row_indices": 0}),
+        ("hom", {"rank": 1, "hom_factors": 3}),
+        ("finite", {"rank": 1, "finite_factors": 2}),
+        ("infinite", {"rank": 1, "inf_mults": 0}),
+        ("hom+cols", {"rank": 1, "hom_factors": [{"alpha": [0, 1], "e": 0}], "col_indices": {}}),
+        ("exists", {"degree": 1, "rank": 1, "hom_factors": 5, "col_indices": [], "row_indices": []}),
+        ("exists", {"degree": 1, "rank": 1, "hom_factors": [], "col_indices": 0, "row_indices": []}),
+    ],
+)
+def test_non_list_parts_are_input_errors(tmp_path, capsys, theorem, doc):
+    mp = write(tmp_path, "m.json", MATRIX_S)
+    t = write(tmp_path, "t.json", doc)
+    assert main(["check", mp, "--add-rows", "1", "--target", t, "--theorem", theorem]) == 2
+    assert "must be a list" in capsys.readouterr().err
+
+
+def test_field_characteristic_is_strict(tmp_path, capsys):
+    for field in ({"GF": 2.9}, {"GF": True}):
+        mp = write(tmp_path, "m.json", {**MATRIX_S, "field": field})
+        assert main(["eig", mp]) == 2
+        assert "GF characteristic must be an integer" in capsys.readouterr().err
+
+
+def test_oracle_empty_grid(capsys):
+    from polyeig import GF
+    from polyeig.oracle import GridSpec
+
+    for grid in ("gf2 m=0 n=1 z=1 d=1", "gf2 m=1 n=0 z=1 d=1", "gf2 m=1 n=2 z=0 d=1"):
+        assert main(["oracle", grid]) == 2
+        assert ">= 1" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        GridSpec(GF(2), 1, -1, 1, 1)

@@ -187,6 +187,16 @@ def test_infinite_only_examples():
     assert rep.violations == ("interlacing",)
 
 
+def test_finite_and_infinite_only_on_rank_zero():
+    # the checkers read no factor of a rank-0 P
+    pin = ES(1, 0, (), (0, 0), (0,))
+    one = Poly.make([1], GF(2))
+    assert check_finite_only(pin, CompletionTarget(z=1, rank=1, finite_factors=(one,))).feasible
+    assert check_infinite_only(pin, CompletionTarget(z=1, rank=1, inf_mults=(0,))).feasible
+    rep = check_infinite_only(pin, CompletionTarget(z=1, rank=1, inf_mults=(2,)))
+    assert rep.violations == ("infinite-only-j",) and rep.details["failed_j"] == [0]
+
+
 def test_hom_only_x0():
     pin = eigenstructure(M([[S]]))
     assert check_hom_only(pin, CompletionTarget(z=1, rank=1, hom_factors=(H(S),))).feasible
@@ -321,3 +331,25 @@ def test_gap_shapes_on_feasible_instances():
             assert all(p >= q for p, q in zip(a, a[1:]))
             assert all(p >= q for p, q in zip(b, b[1:]))
             assert not b or b[-1] >= 0
+
+
+def test_interlacing_evaluated_once_per_chain_check(monkeypatch):
+    from polyeig import feasibility
+    from polyeig.oracle import all_matrices, target_from_eigenstructure
+    from polyeig.realize import enumerate_targets
+
+    calls = []
+    interlaces = feasibility._interlaces
+    monkeypatch.setattr(feasibility, "_interlaces", lambda *a: calls.append(a) or interlaces(*a))
+    F = GF(2)
+    checks = 0
+    cands = list(enumerate_targets(1, 2, 1, 1, F))
+    for P in all_matrices(1, 2, 1, F):
+        pin = eigenstructure(P)
+        for cand in cands:
+            if not 0 <= cand.rank - pin.rank <= min(1, 2 - pin.rank):
+                continue
+            for theorem in ("full", "hom+cols", "hom+rows"):
+                feasibility.CHECKERS[theorem](pin, target_from_eigenstructure(cand, 1, theorem))
+                checks += 1
+    assert checks == len(calls) == 468

@@ -64,6 +64,8 @@ def test_lcm():
     assert homog_lcm(HOMOG_ONE, a) == a
     assert homog_lcm(a, HOMOG_ZERO) is HOMOG_ZERO
     assert homog_lcm(HOMOG_ONE, HOMOG_ONE) is HOMOG_ONE
+    # equal finite parts: the lcm keeps that part and the larger t-power
+    assert homog_lcm(a, H([0, 1], 3)) == homog_lcm(H([0, 1], 3), a) == H([0, 1], 3)
 
 
 def test_chain_access():

@@ -65,3 +65,30 @@ def test_one_theorem_table():
     assert oracle.project(es, "infinite") == (es.rank, es.inf_mults)
     with pytest.raises(ValueError):
         oracle.project(es, "exists")
+
+
+def test_jobs_capped_at_chunks_and_cores(monkeypatch):
+    # the pool starts every worker up front, so a huge --jobs must not
+    # reach it; an in-process fake records what it is asked for
+    import os
+
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
+    assert run_grid(PLANT_GRID, jobs=10**6) == run_grid(PLANT_GRID) == []
+    assert asked == [min(12, os.cpu_count() or 1)]
+    monkeypatch.setitem(oracle.CHECKERS, "full", always_feasible)
+    assert run_grid(PLANT_GRID, jobs=10**6) == run_grid(PLANT_GRID)
