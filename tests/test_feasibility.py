@@ -197,6 +197,22 @@ def test_finite_and_infinite_only_on_rank_zero():
     assert rep.violations == ("infinite-only-j",) and rep.details["failed_j"] == [0]
 
 
+def test_target_integer_parts_are_strict():
+    P = M([[S]], GF(2))
+    with pytest.raises(InvalidTargetError):
+        check_infinite_only(eigenstructure(P), CompletionTarget(z=1, rank=1, inf_mults=(0.5,)))
+    for bad in (
+        dict(inf_mults=(True,)),
+        dict(col_indices=(1.5,)),
+        dict(row_indices=(1.5,)),
+        dict(row_indices=(False,)),
+        dict(z=1.0),
+        dict(rank=True),
+    ):
+        with pytest.raises(InvalidTargetError, match="must be integers"):
+            CompletionTarget(**{"z": 1, "rank": 1, **bad})
+
+
 def test_hom_only_x0():
     pin = eigenstructure(M([[S]]))
     assert check_hom_only(pin, CompletionTarget(z=1, rank=1, hom_factors=(H(S),))).feasible

@@ -1,8 +1,17 @@
-import pytest
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
 
+import pytest
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
+
+import polyeig
 from polyeig import (
     GF,
     QQ,
+    Eigenstructure,
     FieldMismatchError,
     Poly,
     PolyMatrix,
@@ -18,7 +27,7 @@ from polyeig import (
     smith_form,
     stack_rows,
 )
-from polyeig.matrix import apply_matrix, is_column_reduced
+from polyeig.matrix import apply_matrix, is_column_reduced, nullspace
 
 from conftest import FIELDS, random_matrix
 
@@ -180,3 +189,152 @@ def test_make_validation():
         PolyMatrix.make([], QQ)
     with pytest.raises(ValueError):
         PolyMatrix.make([[[1]], [[1], [1]]], QQ)
+
+
+def test_eigenstructure_integer_fields_are_strict():
+    good = dict(degree=1, rank=0, hom_factors=(), col_indices=(1,), row_indices=(), nrows=0, ncols=1)
+    Eigenstructure(**good)
+    for bad in (
+        dict(col_indices=(1.5,)),
+        dict(col_indices=(True,)),
+        dict(row_indices=(1.0,), nrows=1),
+        dict(degree=1.0),
+        dict(ncols=True),
+    ):
+        with pytest.raises(ValueError, match="must be integers"):
+            Eigenstructure(**{**good, **bad})
+
+
+# --- nullspace against the field-generic Gauss-Jordan reference ---------------
+
+
+def _gauss_jordan_nullspace(rows, ncols, field):
+    """Nullspace read off the reduced row echelon form, computed by
+    Gauss-Jordan elimination in the field's own arithmetic."""
+    f = field
+    mat = [list(r) for r in rows]
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        sel = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        inv = f.inv(mat[rank][col])
+        mat[rank] = [f.mul(inv, c) for c in mat[rank]]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(mat[i], mat[rank])]
+        pivots.append(col)
+        rank += 1
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [f.zero] * ncols
+        v[free] = f.one
+        for prow, pcol in zip(mat[:rank], pivots):
+            v[pcol] = f.neg(prow[free])
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def constant_matrices(draw):
+    """Rows over Q (non-integer entries) or GF(2), GF(3), GF(10007), with
+    random, zero and dependent rows; possibly no rows at all."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(10007)]))
+    if field.is_rational:
+        scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    ncols = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+        if kind == "zero":
+            rows.append([field.zero] * ncols)
+        elif kind == "dependent" and rows:
+            a, b = draw(scalar), draw(scalar)
+            r1, r2 = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(r1, r2)])
+        else:
+            rows.append([field.coerce(draw(scalar)) for _ in range(ncols)])
+    return rows, ncols, field
+
+
+@settings(max_examples=400, deadline=None)
+@given(constant_matrices())
+def test_nullspace_matches_gauss_jordan(case):
+    rows, ncols, field = case
+    got = nullspace(rows, ncols, field)
+    want = _gauss_jordan_nullspace(rows, ncols, field)
+    assert got == want
+    assert [[type(c) for c in v] for v in got] == [[type(c) for c in v] for v in want]
+
+
+@st.composite
+def rational_matrices(draw):
+    """Q matrices up to 4 x 5 and degree 2 with non-integer coefficients,
+    sometimes with a row that is a polynomial multiple of another."""
+    m, n, d = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(0, 2))
+    coeff = st.sampled_from([0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.integers(0, 3)) == 0:
+            mult = Poly.make(draw(st.lists(coeff, min_size=1, max_size=3 - d)), QQ)
+            rows.append([mult * e for e in draw(st.sampled_from(rows))])
+        else:
+            rows.append([Poly.make(draw(st.lists(coeff, min_size=d + 1, max_size=d + 1)), QQ) for _ in range(n)])
+    P = PolyMatrix.make(rows, QQ)
+    assume(not P.is_zero)
+    return P
+
+
+def _dense_4x5_degree_2(seed):
+    rng = random.Random(seed)
+    pool = [-2, -1, 1, 3, Fraction(1, 2), Fraction(-5, 3)]
+    return M([[[rng.choice(pool) for _ in range(3)] for _ in range(5)] for _ in range(4)])
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(rational_matrices())
+@example(_dense_4x5_degree_2(1))
+@example(_dense_4x5_degree_2(2))
+def test_eigenstructure_metamorphic_over_q(P):
+    es = eigenstructure(P)
+    assert es.index_sum_holds()
+    et = eigenstructure(P.transpose())
+    assert et.hom_factors == es.hom_factors
+    assert (et.col_indices, et.row_indices) == (es.row_indices, es.col_indices)
+
+
+# --- internal invariants under python -O ----------------------------------------
+
+_DROP_ONE_BASIS_VECTOR = """
+import polyeig.matrix as mx
+from polyeig import QQ, InternalError, PolyMatrix, eigenstructure
+
+if __debug__:
+    raise SystemExit("not running under -O")
+real = mx.nullspace
+mx.nullspace = lambda rows, ncols, field: real(rows, ncols, field)[1:]
+try:
+    eigenstructure(PolyMatrix.make([[[0, 1], [1]]], QQ))
+except InternalError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InternalError")
+"""
+
+
+def test_internal_invariants_survive_optimize():
+    src = os.path.dirname(os.path.dirname(polyeig.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _DROP_ONE_BASIS_VECTOR],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "kernel dimension not reached" in proc.stdout
