@@ -103,8 +103,6 @@ class Eigenstructure:
 
     def __post_init__(self):
         ensure_ints((self.degree, self.rank, self.nrows, self.ncols), "degree, rank and shape")
-        ensure_ints(self.col_indices, "column minimal indices")
-        ensure_ints(self.row_indices, "row minimal indices")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
         if self.rank < 0 or self.rank > min(self.nrows, self.ncols):
@@ -248,39 +246,6 @@ def infinite_multiplicities(P: PolyMatrix) -> tuple:
 # --- exact linear algebra over the base field -------------------------------
 
 
-class _Span:
-    """Incremental row space over the field, kept in echelon form."""
-
-    def __init__(self, field: FieldTag):
-        self.field = field
-        self.rows = []  # (pivot column, row list)
-
-    def reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        for pivot, row in self.rows:
-            c = v[pivot]
-            if c:
-                for i in range(pivot, len(v)):
-                    if row[i]:
-                        v[i] = f.sub(v[i], f.mul(c, row[i]))
-        return v
-
-    def add(self, vec):
-        """Reduce vec against the span; if independent, absorb it and
-        return the reduced representative, else return None."""
-        f = self.field
-        v = self.reduce(vec)
-        pivot = next((i for i, c in enumerate(v) if c), None)
-        if pivot is None:
-            return None
-        inv = f.inv(v[pivot])
-        norm = [f.mul(inv, c) for c in v]
-        self.rows.append((pivot, norm))
-        self.rows.sort(key=lambda pr: pr[0])
-        return v
-
-
 # reduce, not gcd(*row) or lcm(*...): star-unpacking builds a tuple per
 # row, and tuples of every row length then pile up on the interpreter's
 # free lists (about 2 MB more peak RSS on the eig-q benchmark).
@@ -389,10 +354,15 @@ def right_minimal_basis(P: PolyMatrix, rank: int | None = None):
 
     Returns a list of polynomial column vectors (tuples of Poly) sorted by
     nonincreasing degree; the degrees are the column minimal indices.
-    Vectors are gathered degree by degree from the coefficient-space
-    nullspaces, keeping only those independent from all shifts of the
-    vectors already chosen, which yields least orders and a column-reduced
-    basis.  A known normal rank may be passed to skip its Smith form.
+    For delta = 0, 1, ... the nullspace of the block-Toeplitz system for
+    deg x <= delta is read off its reduced row echelon form: one vector per
+    non-pivot column, which is that vector's last nonzero entry.  A
+    non-pivot column stays non-pivot one block later, so column j of block
+    delta that was pivot in every earlier block marks a new minimal index
+    delta, and its vector is kept.  The kept vectors have triangular
+    leading coefficients and the least degree sum, so they form a minimal
+    basis (Forney 1975).  A known normal rank may be passed to skip its
+    Smith form.
     """
     f = P.field
     n = P.cols
@@ -401,35 +371,22 @@ def right_minimal_basis(P: PolyMatrix, rank: int | None = None):
     if want == 0:
         return []
     d = 0 if P.is_zero else degree_of(P)
-    chosen = []  # (flat coeffs at its own delta, polyvec, degree)
-    cap = max(0, r * d)
-    for delta in range(cap + 1):
-        span = _Span(f)
-        for vec, deg in chosen:
-            flat = [c for b in range(delta + 1) for c in _coeff_block(vec, b, f)]
-            for j in range(delta - deg + 1):
-                shifted = _shift_flat(flat, j, n, f) if j else flat
-                span.add(shifted)
-        for w in nullspace(_convolution_rows(P, delta, d), n * (delta + 1), f):
-            res = span.add(w)
-            if res is not None:
-                pv = _flat_to_polyvec(res, n, f)
-                deg = max(e.degree for e in pv)
-                chosen.append((pv, deg))
+    chosen = {}  # column -> (degree, polynomial vector)
+    for delta in range(max(0, r * d) + 1):
+        block = delta * n
+        for w in nullspace(_convolution_rows(P, delta, d), block + n, f):
+            j = max(i for i, c in enumerate(w) if c) - block
+            if j >= 0 and j not in chosen:
+                chosen[j] = (delta, _flat_to_polyvec(w, n, f))
         if len(chosen) == want:
             break
     if len(chosen) != want:
         raise InternalError("kernel dimension not reached within the degree cap")
-    chosen.sort(key=lambda t: -t[1])
-    return [vec for vec, _ in chosen]
+    return [vec for _, vec in sorted(chosen.values(), key=lambda t: -t[0])]
 
 
 def _coeff_block(vec, k: int, field: FieldTag):
     return [e.coeffs[k] if k <= e.degree else field.zero for e in vec]
-
-
-def _shift_flat(flat, j: int, n: int, field: FieldTag):
-    return [field.zero] * (j * n) + flat[: len(flat) - j * n]
 
 
 def is_column_reduced(vectors, field: FieldTag) -> bool:

@@ -23,7 +23,6 @@ workers start than there are chunks or cores.
 
 from __future__ import annotations
 
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,7 +31,6 @@ from operator import attrgetter
 from .feasibility import CHECKERS, PRESCRIBES, CompletionTarget
 from .fields import GF, FieldTag
 from .matrix import PolyMatrix, degree_of, eigenstructure, stack_rows
-from .poly import Poly
 from .realize import BudgetExceededError, all_completion_rows, enumerate_targets, search_space_size
 
 THEOREMS = tuple(CHECKERS)
@@ -43,6 +41,11 @@ _PROJECTIONS = {
     theorem: attrgetter("rank", *("alphas" if part == "finite_factors" else part for part in parts))
     for theorem, parts in PRESCRIBES.items()
 }
+
+
+def _is_digits(text: str) -> bool:
+    """Plain ASCII digits only: int() would also take "1_0", " 1" or "+1"."""
+    return text.isascii() and text.isdigit()
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,14 @@ class GridSpec:
         if not parts:
             raise ValueError("empty grid spec")
         fname = parts[0].lower()
-        if not fname.startswith("gf"):
-            raise ValueError(f"oracle grids need a finite field, got {parts[0]!r}")
+        if not fname.startswith("gf") or not _is_digits(fname[2:]):
+            raise ValueError(f"oracle grids need a finite field gf<p>, got {parts[0]!r}")
         field = GF(int(fname[2:]))
         vals = {}
         for item in parts[1:]:
             key, _, val = item.partition("=")
-            if key not in ("m", "n", "z", "d") or not val:
-                raise ValueError(f"bad grid item {item!r}")
+            if key not in ("m", "n", "z", "d") or key in vals or not _is_digits(val):
+                raise ValueError(f"bad or repeated grid item {item!r}")
             vals[key] = int(val)
         missing = {"m", "n", "z", "d"} - set(vals)
         if missing:
@@ -82,11 +85,9 @@ class GridSpec:
 
 def all_matrices(m: int, n: int, d: int, field: FieldTag):
     """All m x n matrices over GF(p) of degree exactly d, lexicographic."""
-    polys = [Poly.make(cs, field) for cs in itertools.product(field.elements(), repeat=d + 1)]
-    for flat in itertools.product(polys, repeat=m * n):
-        if max((p.degree for p in flat), default=-1) != d:
-            continue
-        yield PolyMatrix.make([flat[i * n : (i + 1) * n] for i in range(m)], field)
+    for P in all_completion_rows(field, m, n, d):
+        if max(e.degree for row in P.entries for e in row) == d:
+            yield P
 
 
 def _coefficient_rows(M: PolyMatrix, dmax: int):

@@ -27,7 +27,8 @@ def ensure_ints(values, what: str, error=ValueError) -> None:
 
 
 def ensure_nonincreasing(values, name: str = "sequence") -> tuple:
-    vals = tuple(int(v) for v in values)
+    vals = tuple(values)
+    ensure_ints(vals, name)
     if any(a < b for a, b in zip(vals, vals[1:])):
         raise ValueError(f"{name} must be nonincreasing: {vals}")
     return vals

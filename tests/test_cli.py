@@ -169,8 +169,17 @@ def test_oracle_budget(capsys):
 
 
 def test_oracle_bad_grid(capsys):
-    assert main(["oracle", "q n=1 m=1 z=1 d=1"]) == 2
-    capsys.readouterr()
+    for grid in (
+        "q n=1 m=1 z=1 d=1",
+        "gf2 m=1 n=2 z=1 d=1 d=2",  # repeated key
+        "gf2 m=1_0 n=1 z=1 d=1",  # int() would read 10
+        "gf2 m=+1 n=1 z=1 d=1",
+        "gf2 m=\u0661 n=1 z=1 d=1",  # a non-ASCII digit
+        "gf1_1 m=1 n=1 z=1 d=1",
+        "gf m=1 n=1 z=1 d=1",
+    ):
+        assert main(["oracle", grid]) == 2, grid
+        assert "error" in capsys.readouterr().err
 
 
 def test_matrix_json_roundtrip():

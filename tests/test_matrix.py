@@ -95,16 +95,33 @@ def test_minimal_indices_examples():
     assert minimal_indices(M([[S, []], [[], [1]]]))[:2] == ((), ())
 
 
+def _assert_minimal_basis(P, vectors, indices):
+    """Forney's criteria: null vectors of P, column reduced, and the basis
+    matrix has no finite zeros (its Smith form is all ones)."""
+    for v in vectors:
+        assert all(e.is_zero for e in apply_matrix(P, v))
+    assert is_column_reduced(list(vectors), P.field)
+    assert tuple(max(e.degree for e in v) for v in vectors) == indices
+    assert indices == tuple(sorted(indices, reverse=True))
+    if vectors:
+        B = PolyMatrix.make([[v[i] for v in vectors] for i in range(P.cols)], P.field)
+        assert [a.degree for a in smith_form(B)] == [0] * len(vectors)
+
+
 def test_minimal_basis_forney(rng):
+    cases = []
     for _ in range(40):
         field = FIELDS[rng.randrange(len(FIELDS))]
-        P = random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2), field)
+        cases.append(random_matrix(rng, rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2), field))
+    for m, n in ((2, 4), (3, 4), (3, 5), (4, 5), (5, 4)):
+        cases.append(random_matrix(rng, m, n, 2, QQ))
+    # rank-deficient over Q: a polynomial multiple of a row, and a repeated column
+    cases.append(M([[[1, 2], [0, 1], [3], [1, 1]], [[0, 1, 2], [0, 0, 1], [0, 3], [0, 1, 1]], [[1], [1, 1], [0, 0, 1], [2]]]))
+    cases.append(M([[[1, 1, 1], [1, 1, 1], [0, 2], [1]], [[0, 1], [0, 1], [1], [0, 0, 3]]]))
+    for P in cases:
         col, row, rb, lb = minimal_indices(P)
-        for v in rb.vectors:
-            assert all(e.is_zero for e in apply_matrix(P, v))
-        assert is_column_reduced(list(rb.vectors), field)
-        assert is_column_reduced(list(lb.vectors), field)
-        assert col == tuple(sorted(col, reverse=True))
+        _assert_minimal_basis(P, rb.vectors, col)
+        _assert_minimal_basis(P.transpose(), lb.vectors, row)
 
 
 def test_minimal_indices_permutation_invariant(rng):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from polyeig import gen_majorizes, majorizes, union_desc
+from polyeig import construct_d, gen_majorizes, majorizes, union_desc
 from polyeig.sequences import (
     NEG_INF,
     POS_INF,
@@ -27,6 +27,12 @@ def test_ensure_helpers():
     with pytest.raises(ValueError):
         ensure_partition([1, -1])
     assert ensure_nonincreasing([2, -1]) == (2, -1)
+    # non-integers and bools are rejected, never truncated
+    for bad in ([1.5], [True], [2.0, 1], [3, 1.0]):
+        with pytest.raises(ValueError):
+            ensure_nonincreasing(bad)
+    with pytest.raises(ValueError):
+        construct_d((2.5, 1), (1,))
 
 
 def test_prefix_sum_bounds():
@@ -43,6 +49,12 @@ def test_majorizes_basics():
     assert not majorizes((1, 1), (3, 1))  # totals differ
     with pytest.raises(ValueError):
         majorizes((1,), (1, 0))
+    with pytest.raises(ValueError):
+        majorizes((1.5,), (1,))
+    with pytest.raises(ValueError):
+        majorizes((True,), (1,))
+    with pytest.raises(ValueError):
+        gen_majorizes((2.7, 0), (2,), (0,))
 
 
 def test_gen_majorizes_examples():
