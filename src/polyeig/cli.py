@@ -12,7 +12,7 @@ import os
 import sys
 
 from .feasibility import CHECKERS, ConstantMatrixError, check_existence
-from .fields import QQ, FieldMismatchError, FieldTag, GF
+from .fields import QQ, FieldMismatchError, parse_gf
 from .matrix import ZeroMatrixError, eigenstructure
 from .oracle import GridSpec, all_matrices, run_grid
 from .realize import BudgetExceededError, realize_low_degree, search_space_size
@@ -63,18 +63,6 @@ def _load_json(path: str):
         raise CliError(EXIT_INPUT, f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
 
 
-def _parse_field_flag(name: str) -> FieldTag:
-    low = name.lower()
-    if low in ("q", "qq"):
-        return QQ
-    if low.startswith("gf"):
-        try:
-            return GF(int(low[2:]))
-        except ValueError as exc:
-            raise CliError(EXIT_INPUT, str(exc))
-    raise CliError(EXIT_INPUT, f"unknown field {name!r} (use q or gf<p>)")
-
-
 def _emit(doc, out=None):
     out = out if out is not None else sys.stdout
     json.dump(doc, out, indent=2)
@@ -104,7 +92,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    field = _parse_field_flag(args.field)
+    field = QQ if args.field.lower() in ("q", "qq") else parse_gf(args.field)
     target = parse_eigenstructure(_load_json(args.target), field)
     report = check_existence(target)
     if not report.feasible:

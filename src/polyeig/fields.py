@@ -92,6 +92,19 @@ def GF(p: int) -> FieldTag:
     return FieldTag(p)
 
 
+def is_digits(text: str) -> bool:
+    """Plain ASCII digits only: int() would also take "1_0", " 1" or "+1"."""
+    return text.isascii() and text.isdigit()
+
+
+def parse_gf(name: str) -> FieldTag:
+    """GF(p) from its name gf<p>, in any case, with p in plain ASCII digits."""
+    low = name.lower()
+    if not low.startswith("gf") or not is_digits(low[2:]):
+        raise ValueError(f"unknown field {name!r}: expected gf<p> with p in ASCII digits")
+    return GF(int(low[2:]))
+
+
 def same_field(*tags: FieldTag) -> FieldTag:
     first = tags[0]
     for t in tags[1:]:

@@ -1,8 +1,8 @@
 """Polynomial matrices over an exact field and their eigenstructure.
 
-Covers degree, normal rank, reversal, Smith form, multiplicities at
-infinity, minimal bases / minimal indices, the assembled eigenstructure,
-and the first Frobenius companion linearization.
+Covers degree, normal rank, Smith form, multiplicities at infinity,
+minimal bases / minimal indices, the assembled eigenstructure, and the
+first Frobenius companion linearization.
 """
 
 from __future__ import annotations
@@ -146,21 +146,6 @@ def stack_rows(P: PolyMatrix, W: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(P.entries + W.entries, P.field)
 
 
-def reversal(P: PolyMatrix) -> PolyMatrix:
-    """rev P(t) = t^d P(1/t) with d the matrix degree."""
-    d = degree_of(P)
-    rows = []
-    for row in P.entries:
-        new_row = []
-        for e in row:
-            cs = [P.field.zero] * (d + 1)
-            for i, c in enumerate(e.coeffs):
-                cs[d - i] = c
-            new_row.append(Poly.make(cs, P.field))
-        rows.append(tuple(new_row))
-    return PolyMatrix(tuple(rows), P.field)
-
-
 def smith_form(P: PolyMatrix) -> tuple:
     """Monic invariant factors a_1 | ... | a_r (r = rank), by gcd-pivot elimination."""
     A = [list(row) for row in P.entries]
@@ -226,21 +211,6 @@ def smith_form(P: PolyMatrix) -> tuple:
 def rank_of(P: PolyMatrix) -> int:
     """Normal rank over the rational function field."""
     return len(smith_form(P))
-
-
-def infinite_multiplicities(P: PolyMatrix) -> tuple:
-    """Partial multiplicities of infinity: t-adic valuations of the Smith
-    form of the reversal."""
-    revs = smith_form(reversal(P))
-    mults = []
-    for a in revs:
-        e = 0
-        while not a.coeffs[e]:
-            e += 1
-        mults.append(e)
-    if any(x > y for x, y in zip(mults, mults[1:])) or (mults and mults[0] != 0):
-        raise InternalError(f"multiplicities at infinity must rise from 0: {mults}")
-    return tuple(mults)
 
 
 # --- exact linear algebra over the base field -------------------------------
@@ -319,7 +289,7 @@ def matrix_rank_constant(rows, field: FieldTag) -> int:
     return ncols - len(nullspace(rows, ncols, field))
 
 
-# --- minimal bases ----------------------------------------------------------
+# --- block-Toeplitz systems: multiplicities at infinity, minimal bases ------
 
 
 def _convolution_rows(P: PolyMatrix, delta: int, d: int):
@@ -339,6 +309,33 @@ def _convolution_rows(P: PolyMatrix, delta: int, d: int):
                     row[j * n + col] = ck[i][col]
             rows.append(row)
     return rows
+
+
+def infinite_multiplicities(P: PolyMatrix, rank: int | None = None) -> tuple:
+    """Partial multiplicities of infinity: the t-adic valuations e_i of the
+    Smith form of rev P(t) = t^d P(1/t), read off constant ranks.
+
+    The block-Toeplitz matrix T_k of the first k coefficients of rev P is,
+    up to block order, the last k block rows of the convolution system for
+    deg x <= k - 1.  Its rank is sum max(0, k - e_i) (Gohberg, Lancaster &
+    Rodman 1982), so the step rank T_k - rank T_(k-1) counts the e_i < k:
+    those found so far and one per e_i = k - 1.  Every e_i is at most
+    r * d, so k stops by r * d + 1.  A known normal rank may be passed to
+    skip its Smith form.
+    """
+    d = degree_of(P)
+    r = rank_of(P) if rank is None else rank
+    mults = []
+    last_rank = 0
+    for k in range(1, r * d + 2):
+        rk = matrix_rank_constant(_convolution_rows(P, k - 1, d)[d * P.rows:], P.field)
+        mults += [k - 1] * (rk - last_rank - len(mults))
+        last_rank = rk
+        if len(mults) >= r:
+            break
+    if len(mults) != r or (mults and mults[0] != 0):
+        raise InternalError(f"expected {r} multiplicities at infinity rising from 0, found {mults}")
+    return tuple(mults)
 
 
 def _flat_to_polyvec(flat, n: int, field: FieldTag):
@@ -431,12 +428,12 @@ def eigenstructure(P: PolyMatrix) -> Eigenstructure:
     """Degree, rank, homogeneous invariant factor chain and minimal indices."""
     d = degree_of(P)
     alphas = smith_form(P)
-    mults = infinite_multiplicities(P)
-    hom = tuple(HomogPoly(a, e) for a, e in zip(alphas, mults))
-    col, row, _, _ = minimal_indices(P, len(alphas))
+    r = len(alphas)
+    col, row, _, _ = minimal_indices(P, r)
+    hom = tuple(HomogPoly(a, e) for a, e in zip(alphas, infinite_multiplicities(P, r)))
     es = Eigenstructure(
         degree=d,
-        rank=len(alphas),
+        rank=r,
         hom_factors=hom,
         col_indices=col,
         row_indices=row,

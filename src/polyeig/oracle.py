@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .feasibility import CHECKERS, PRESCRIBES, CompletionTarget
-from .fields import GF, FieldTag
+from .fields import FieldTag, is_digits, parse_gf
 from .matrix import PolyMatrix, degree_of, eigenstructure, stack_rows
 from .realize import BudgetExceededError, all_completion_rows, enumerate_targets, search_space_size
 
@@ -41,11 +41,6 @@ _PROJECTIONS = {
     theorem: attrgetter("rank", *("alphas" if part == "finite_factors" else part for part in parts))
     for theorem, parts in PRESCRIBES.items()
 }
-
-
-def _is_digits(text: str) -> bool:
-    """Plain ASCII digits only: int() would also take "1_0", " 1" or "+1"."""
-    return text.isascii() and text.isdigit()
 
 
 @dataclass(frozen=True)
@@ -67,14 +62,11 @@ class GridSpec:
         parts = text.split()
         if not parts:
             raise ValueError("empty grid spec")
-        fname = parts[0].lower()
-        if not fname.startswith("gf") or not _is_digits(fname[2:]):
-            raise ValueError(f"oracle grids need a finite field gf<p>, got {parts[0]!r}")
-        field = GF(int(fname[2:]))
+        field = parse_gf(parts[0])
         vals = {}
         for item in parts[1:]:
             key, _, val = item.partition("=")
-            if key not in ("m", "n", "z", "d") or key in vals or not _is_digits(val):
+            if key not in ("m", "n", "z", "d") or key in vals or not is_digits(val):
                 raise ValueError(f"bad or repeated grid item {item!r}")
             vals[key] = int(val)
         missing = {"m", "n", "z", "d"} - set(vals)

@@ -93,11 +93,12 @@ def parse_matrix(doc) -> PolyMatrix:
         if key not in doc:
             raise FormatError(f"matrix document missing {key!r}")
     field = parse_field(doc["field"])
+    rows, cols = _int(doc["rows"], "rows"), _int(doc["cols"], "cols")
     entries = doc["entries"]
     if (
         not isinstance(entries, list)
-        or len(entries) != doc["rows"]
-        or any(not isinstance(r, list) or len(r) != doc["cols"] for r in entries)
+        or len(entries) != rows
+        or any(not isinstance(r, list) or len(r) != cols for r in entries)
     ):
         raise FormatError("entries shape disagrees with rows/cols")
     return PolyMatrix.make(

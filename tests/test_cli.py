@@ -236,6 +236,11 @@ def test_eigenstructure_integers_are_strict(tmp_path, capsys):
             parse_eigenstructure({**good, key: bad}, QQ)
     with pytest.raises(FormatError):
         parse_scalar(True, QQ)
+    # a matrix shape is read as integers too: True == 1 and 1.0 == 1 would pass a length check
+    for shape in (True, 1.0):
+        mp = write(tmp_path, "m.json", {**MATRIX_S, "rows": shape, "cols": shape})
+        assert main(["eig", mp]) == 2
+        assert "rows must be an integer" in capsys.readouterr().err
     # through the CLI a truncating parse would have checked rank 1
     mp = write(tmp_path, "m.json", MATRIX_S)
     t = write(tmp_path, "t.json", {**good, "rank": 1.9})
@@ -267,6 +272,12 @@ def test_field_characteristic_is_strict(tmp_path, capsys):
         mp = write(tmp_path, "m.json", {**MATRIX_S, "field": field})
         assert main(["eig", mp]) == 2
         assert "GF characteristic must be an integer" in capsys.readouterr().err
+    # int() would read GF(11) and GF(3) from these --field names
+    target = {"degree": 1, "rank": 1, "hom_factors": [{"alpha": [0, 1], "e": 0}], "col_indices": [], "row_indices": []}
+    t = write(tmp_path, "t.json", target)
+    for name in ("gf1_1", "gf 3", "gf+3", "GF\u0663"):
+        assert main(["realize", "--target", t, "--field", name]) == 2, name
+        assert "unknown field" in capsys.readouterr().err
 
 
 def test_oracle_empty_grid(capsys):

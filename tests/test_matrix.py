@@ -22,8 +22,8 @@ from polyeig import (
     eigenstructure,
     infinite_multiplicities,
     minimal_indices,
+    poly_zero,
     rank_of,
-    reversal,
     smith_form,
     stack_rows,
 )
@@ -56,14 +56,6 @@ def test_rank():
     assert rank_of(M([[S, []], [[], [1]]])) == 2
 
 
-def test_reversal():
-    assert reversal(M([[[1, 0, 1]]])).entries[0][0].coeffs == (1, 0, 1)
-    R = reversal(M([[S, [1]]]))
-    assert [e.coeffs for e in R.entries[0]] == [(1,), (0, 1)]
-    assert reversal(M([[[5]]])).entries[0][0].coeffs == (5,)
-    assert rank_of(reversal(M([[S, [1]], [[0, 0, 1], S]]))) == 1
-
-
 def test_smith_examples():
     assert [str(a) for a in smith_form(M([[S, [1]], [[], S]]))] == ["1", "s^2"]
     assert [str(a) for a in smith_form(M([[S, []], [[], [0, 0, 1]]]))] == ["s", "s^2"]
@@ -84,6 +76,14 @@ def test_infinite_multiplicities():
     assert infinite_multiplicities(M([[S, []], [[], [1]]])) == (0, 1)
     assert infinite_multiplicities(M([[[1], S], [[], [1]]])) == (0, 2)
     assert infinite_multiplicities(M([[S]])) == (0,)
+    # [[1, s^d], [0, 1]] reaches the cap: e = (0, 2d) = (0, r * d)
+    for d in (1, 2, 3):
+        assert infinite_multiplicities(M([[[1], [0] * d + [1]], [[], [1]]])) == (0, 2 * d)
+    U = M([[[1], [0, 0, 1], [0, 0, 0, 1]], [[], [1], [0, 0, 1]], [[], [], [1]]], GF(3))
+    assert infinite_multiplicities(U) == (0, 2, 7)
+    assert infinite_multiplicities(U, rank=3) == (0, 2, 7)
+    with pytest.raises(ZeroMatrixError):
+        infinite_multiplicities(M([[[]]]))
 
 
 def test_minimal_indices_examples():
@@ -327,6 +327,59 @@ def test_eigenstructure_metamorphic_over_q(P):
     assert (et.col_indices, et.row_indices) == (es.row_indices, es.col_indices)
 
 
+# --- multiplicities at infinity against the Smith form of the reversal --------
+
+
+def _reversal_valuations(P):
+    """Multiplicities at infinity by their definition: the t-adic valuations
+    of the Smith form of rev P(t) = t^d P(1/t)."""
+    d = degree_of(P)
+    zero = P.field.zero
+    rev = PolyMatrix.make(
+        [[[zero] * (d + 1 - len(e.coeffs)) + list(e.coeffs[::-1]) for e in row] for row in P.entries],
+        P.field,
+    )
+    return tuple(next(i for i, c in enumerate(a.coeffs) if c) for a in smith_form(rev))
+
+
+@st.composite
+def field_matrices(draw):
+    """Matrices up to 4 x 5 and degree 3 over Q (non-integer coefficients)
+    or GF(2), GF(3), GF(10007): dense ones with some zero rows, and
+    products A(s) B(s) through an inner size below min(m, n), which are
+    rank deficient."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(10007)]))
+    if field.is_rational:
+        scalar = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+    else:
+        scalar = st.integers(0, field.p - 1)
+
+    def matrix(m, n, d, zero_rows=False):
+        return [
+            [poly_zero(field)] * n if zero_rows and draw(st.integers(0, 3)) == 0
+            else [Poly.make(draw(st.lists(scalar, min_size=d + 1, max_size=d + 1)), field) for _ in range(n)]
+            for _ in range(m)
+        ]
+
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    if min(m, n) > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, min(m, n) - 1))
+        da = draw(st.integers(0, 3))
+        A, B = matrix(m, k, da), matrix(k, n, draw(st.integers(0, 3 - da)))
+        rows = [[sum((a * b for a, b in zip(row, col)), poly_zero(field)) for col in zip(*B)] for row in A]
+    else:
+        rows = matrix(m, n, draw(st.integers(0, 3)), zero_rows=True)
+    P = PolyMatrix.make(rows, field)
+    assume(not P.is_zero)
+    return P
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(field_matrices())
+def test_infinite_multiplicities_match_reversal(P):
+    assert infinite_multiplicities(P) == _reversal_valuations(P)
+
+
 # --- internal invariants under python -O ----------------------------------------
 
 _DROP_ONE_BASIS_VECTOR = """
@@ -346,12 +399,32 @@ else:
 """
 
 
+_ZERO_CONSTANT_RANKS = """
+import polyeig.matrix as mx
+from polyeig import QQ, InternalError, PolyMatrix, eigenstructure
+
+if __debug__:
+    raise SystemExit("not running under -O")
+mx.matrix_rank_constant = lambda rows, field: 0
+try:
+    eigenstructure(PolyMatrix.make([[[0, 1], [1]]], QQ))
+except InternalError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InternalError")
+"""
+
+
 def test_internal_invariants_survive_optimize():
     src = os.path.dirname(os.path.dirname(polyeig.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", _DROP_ONE_BASIS_VECTOR],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "kernel dimension not reached" in proc.stdout
+    for script, message in (
+        (_DROP_ONE_BASIS_VECTOR, "kernel dimension not reached"),
+        (_ZERO_CONSTANT_RANKS, "multiplicities at infinity"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert message in proc.stdout
