@@ -12,10 +12,10 @@ import os
 import sys
 
 from .feasibility import CHECKERS, ConstantMatrixError, check_existence
-from .fields import QQ, FieldMismatchError, parse_gf
+from .fields import QQ, FieldMismatchError, is_digits, parse_gf
 from .matrix import ZeroMatrixError, eigenstructure
-from .oracle import GridSpec, all_matrices, run_grid
-from .realize import BudgetExceededError, realize_low_degree, search_space_size
+from .oracle import GridSpec, run_grid
+from .realize import BudgetExceededError, realize_low_degree, search_realization, search_space_size
 from .sequences import InternalError
 from .serialize import (
     emit_eigenstructure,
@@ -43,14 +43,20 @@ class CliError(Exception):
         self.code = code
 
 
-def _default_budget() -> int:
+def _count(raw: str, name: str, least: int = 0) -> int:
+    """An integer >= least written in plain ASCII digits; int() would also
+    take "1_000", a non-ASCII digit or a sign."""
+    if not is_digits(raw) or int(raw) < least:
+        raise CliError(EXIT_INPUT, f"{name} must be an integer >= {least} in ASCII digits, got {raw!r}")
+    return int(raw)
+
+
+def _budget(args) -> int:
+    """--budget, else POLYEIG_BUDGET, else the default."""
+    if args.budget is not None:
+        return _count(args.budget, "--budget")
     raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise CliError(EXIT_INPUT, f"{BUDGET_ENV} must be an integer, got {raw!r}")
+    return DEFAULT_BUDGET if raw is None else _count(raw, BUDGET_ENV)
 
 
 def _load_json(path: str):
@@ -84,8 +90,9 @@ def cmd_check(args) -> int:
     else:
         if args.add_rows is None:
             raise CliError(EXIT_INPUT, "--add-rows is required unless --theorem exists")
+        z = _count(args.add_rows, "--add-rows")
         pinv = eigenstructure(P)
-        target = parse_target(target_doc, args.add_rows, P.field)
+        target = parse_target(target_doc, z, P.field)
         report = CHECKERS[args.theorem](pinv, target)
     _emit(emit_report(report))
     return EXIT_OK if report.feasible else EXIT_INFEASIBLE
@@ -109,26 +116,23 @@ def cmd_realize(args) -> int:
         return EXIT_OK
     if field.is_rational:
         raise CliError(EXIT_INPUT, "--search requires a finite field (e.g. --field gf2)")
-    if args.max_deg < target.degree:
+    if _count(args.max_deg, "--max-deg") < target.degree:
         _emit({"result": "not-found", "reason": "target degree exceeds --max-deg"})
         return EXIT_INFEASIBLE
-    budget = args.budget if args.budget is not None else _default_budget()
-    size = search_space_size(field, target.nrows, target.ncols, target.degree)
-    if size > budget:
-        raise BudgetExceededError(size, budget)
-    for cand in all_matrices(target.nrows, target.ncols, target.degree, field):
-        if eigenstructure(cand) == target:
-            _emit(emit_matrix(cand))
-            return EXIT_OK
-    _emit({"result": "not-found", "searched": size})
-    return EXIT_INFEASIBLE
+    P = search_realization(target, field, _budget(args))
+    if P is None:
+        size = search_space_size(field, target.nrows, target.ncols, target.degree)
+        _emit({"result": "not-found", "searched": size})
+        return EXIT_INFEASIBLE
+    _emit(emit_matrix(P))
+    return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
     spec = GridSpec.parse(args.grid)
-    budget = args.budget if args.budget is not None else _default_budget()
+    budget, jobs = _budget(args), _count(args.jobs, "--jobs", least=1)
     theorems = args.theorem or list(CHECKERS)
-    mismatches = run_grid(spec, theorems=theorems, budget=budget, jobs=args.jobs)
+    mismatches = run_grid(spec, theorems=theorems, budget=budget, jobs=jobs)
     doc = {
         "grid": args.grid,
         "theorems": list(theorems),
@@ -161,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="decide feasibility of a prescribed eigenstructure")
     p_check.add_argument("matrix", help="matrix JSON file for P")
-    p_check.add_argument("--add-rows", type=int, default=None, metavar="Z", help="number of rows to add")
+    p_check.add_argument("--add-rows", default=None, metavar="Z", help="number of rows to add")
     p_check.add_argument("--target", required=True, help="target JSON file (partial eigenstructure)")
     p_check.add_argument(
         "--theorem",
@@ -174,15 +178,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_real.add_argument("--target", required=True, help="full eigenstructure JSON file")
     p_real.add_argument("--field", default="q", help="coefficient field: q or gf<p>")
     p_real.add_argument("--search", action="store_true", help="exhaustive search over a finite field")
-    p_real.add_argument("--max-deg", type=int, default=1, help="degree bound for --search")
-    p_real.add_argument("--budget", type=int, default=None, help="candidate cap for --search")
+    p_real.add_argument("--max-deg", default="1", help="degree bound for --search")
+    p_real.add_argument("--budget", default=None, help="candidate cap for --search")
     p_real.set_defaults(func=cmd_realize)
 
     p_orc = sub.add_parser("oracle", help="compare checkers against exhaustive search on a grid")
     p_orc.add_argument("grid", help='grid spec, e.g. "gf2 n=1 m=1 z=1 d=1"')
     p_orc.add_argument("--theorem", action="append", choices=list(CHECKERS), default=None)
-    p_orc.add_argument("--budget", type=int, default=None)
-    p_orc.add_argument("--jobs", type=int, default=1)
+    p_orc.add_argument("--budget", default=None)
+    p_orc.add_argument("--jobs", default="1")
     p_orc.set_defaults(func=cmd_oracle)
     return ap
 

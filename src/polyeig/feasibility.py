@@ -5,18 +5,21 @@ Given the eigenstructure of an m x n polynomial matrix P of degree d and a
 feasibility and reports exactly which conditions fail.  All arithmetic is
 exact; conditions are integer inequalities between degree sums of
 homogeneous lcm chains plus (generalized) majorization tests on index
-sequences.
+sequences.  Each checker first turns both homogeneous chains into integer
+exponent vectors over one coprime base, and evaluates every lcm degree and
+divisibility on those integers.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import le
 
-from .fields import QQ
-from .homog import HomogPoly, chain_at, homog_deg, homog_divides, homog_lcm, is_divisibility_chain
+from .fields import same_field
+from .homog import HomogPoly, homog_deg, is_divisibility_chain
 from .matrix import Eigenstructure
-from .poly import Poly, poly_divides, poly_one
+from .poly import Poly, poly_divides, poly_gcd
 from .sequences import (
     InternalError,
     ensure_ints,
@@ -117,21 +120,88 @@ class FeasibilityReport:
         return not self.violations
 
 
+# --- chains as exponent vectors ---------------------------------------------
+#
+# Every condition below compares the degree of an lcm of two homogeneous
+# factors, or tests divisibility between them.  Over one pairwise coprime base
+# b_1, ..., b_k of the finite parts of both chains, a factor (alpha, t^e) is the
+# integer vector (e, deg b_1 * v_b1(alpha), ..., deg b_k * v_bk(alpha)).  Its
+# degree is the sum of the coordinates, the degree of an lcm is the sum of the
+# coordinatewise maxima, and divisibility is <= in every coordinate: per prime,
+# the interlacing inequalities of Thompson (1979) and Sa (1979).  A position
+# below a chain is the unit, the zero vector.
+
+
+def _coprime_base(parts):
+    """Factor refinement (Bach, Driscoll & Shallit 1993) of distinct monic
+    nonconstant polynomials into a pairwise coprime base, by gcds and exact
+    quotients only.  Returns the base and, for each part, its exponents over
+    the base as a dict."""
+    exps = {p: {p: 1} for p in parts}
+    base, todo = [], list(parts)
+    while todo:
+        a = todo.pop()
+        if a in base or a in todo:
+            continue
+        for b in base:
+            g = poly_gcd(a, b)
+            if g.degree > 0:
+                break
+        else:
+            base.append(a)
+            continue
+        # a = (a/g) g and b = g (b/g), a step that lowers the total degree;
+        # a cofactor of g's degree is the unit and drops out
+        base.remove(b)
+        split = (a // g if a.degree > g.degree else None, g, b // g if b.degree > g.degree else None)
+        for ex in exps.values():
+            ka, kb = ex.pop(a, 0), ex.pop(b, 0)
+            for q, k in zip(split, (ka, ka + kb, kb)):
+                if k and q is not None:
+                    ex[q] = ex.get(q, 0) + k
+        todo.extend(q for q in split if q is not None)
+    return base, exps
+
+
+def _vectors(phi, gamma):
+    """The HomogPoly chains phi and gamma as exponent vectors over one
+    coprime base of their finite parts."""
+    fields = [h.field for h in (*gamma, *phi)]
+    if fields:
+        same_field(*fields)
+    # one field, so the coefficients identify a finite part
+    parts = {h.alpha.coeffs: h.alpha for h in (*phi, *gamma) if h.alpha.degree > 0}
+    base, exps = _coprime_base(list(parts.values()))
+    finite = {p.coeffs: tuple(b.degree * ex.get(b, 0) for b in base) for p, ex in exps.items()}
+    unit = (0,) * len(base)
+
+    def vector(h):
+        v = (h.e, *finite.get(h.alpha.coeffs, unit))
+        if sum(v) != homog_deg(h):
+            raise InternalError(f"exponent vector {v} does not add up to the degree of {h}")
+        return v
+
+    return tuple(map(vector, phi)), tuple(map(vector, gamma))
+
+
 def _dls(phi, gamma, offset: int, upper: int) -> int:
-    """Sum over i = 1..upper of the homogeneous degree of
-    lcm(phi_{i+offset}, gamma_i), with the unit/zero index conventions."""
+    """Sum over i = 1..upper of the degree of lcm(phi_{i+offset}, gamma_i)
+    on exponent vectors."""
     total = 0
     for i in range(1, upper + 1):
-        total += homog_deg(homog_lcm(chain_at(phi, i + offset), chain_at(gamma, i)))
+        k = i + offset
+        total += sum(map(max, phi[k - 1], gamma[i - 1])) if k >= 1 else sum(gamma[i - 1])
     return total
 
 
 def _interlaces(phi, gamma, z: int) -> bool:
-    """Condition gamma_i | phi_i | gamma_{i+z} for 1 <= i <= len(phi)."""
+    """Condition gamma_i | phi_i | gamma_{i+z} for 1 <= i <= len(phi) on
+    exponent vectors.  A position above a chain stands for zero: every
+    factor divides it, and it divides nothing but itself."""
+    n = len(gamma)
     return all(
-        homog_divides(chain_at(gamma, i), chain_at(phi, i))
-        and homog_divides(chain_at(phi, i), chain_at(gamma, i + z))
-        for i in range(1, len(phi) + 1)
+        i < n and all(map(le, gamma[i], p)) and (i + z >= n or all(map(le, p, gamma[i + z])))
+        for i, p in enumerate(phi)
     )
 
 
@@ -150,17 +220,18 @@ def _check_gap_shape(a, b, label: str):
 def _row_lead(gamma, u, v) -> int:
     """sum v - sum u + sum deg gamma: the leading gap term and the
     degree-sum bound in the row form."""
-    return sum(v) - sum(u) + sum(homog_deg(g) for g in gamma)
+    return sum(v) - sum(u) + sum(map(sum, gamma))
 
 
 def _col_lead(phi, c, dd, x: int, d: int) -> int:
     """sum c - sum dd + sum deg phi + x d: the same in the column form."""
-    return sum(c) - sum(dd) + sum(homog_deg(p) for p in phi) + x * d
+    return sum(c) - sum(dd) + sum(map(sum, phi)) + x * d
 
 
 def _gaps(phi, gamma, lead: int, x: int, z: int, d: int, label: str):
-    """Gap sequences a (length x) and b (length z-x); the two forms differ
-    only in the leading term `lead` of a_1 and b_1."""
+    """Gap sequences a (length x) and b (length z-x) of the exponent vector
+    chains; the two forms differ only in the leading term `lead` of a_1 and
+    b_1."""
     r = len(phi)
     a = []
     if x >= 1:
@@ -186,6 +257,7 @@ def _gaps(phi, gamma, lead: int, x: int, z: int, d: int, label: str):
 def build_gaps_row_form(phi, gamma, u, v, x: int, z: int, d: int):
     """Gap sequences a (length x) and b (length z-x) expressed through the
     row minimal indices u of P and v of the completion."""
+    phi, gamma = _vectors(phi, gamma)
     return _gaps(phi, gamma, _row_lead(gamma, u, v), x, z, d, "row-form")
 
 
@@ -193,6 +265,7 @@ def build_gaps_col_form(phi, gamma, c, dd, x: int, z: int, d: int):
     """Gap sequences expressed through the column minimal indices c of P
     and dd of the completion; only the leading entries differ from the
     row form."""
+    phi, gamma = _vectors(phi, gamma)
     return _gaps(phi, gamma, _col_lead(phi, c, dd, x, d), x, z, d, "col-form")
 
 
@@ -267,8 +340,9 @@ def _chain_check(pinv: Eigenstructure, target: CompletionTarget, theorem: str, c
     r, x, d, n, m = _validate(pinv, target, theorem)
     parts = PRESCRIBES[theorem]
     cols, rows = "col_indices" in parts, "row_indices" in parts
-    z, gamma, dd, v = target.z, target.hom_factors, target.col_indices, target.row_indices
-    phi, u, c = pinv.hom_factors, pinv.row_indices, pinv.col_indices
+    z, dd, v = target.z, target.col_indices, target.row_indices
+    u, c = pinv.row_indices, pinv.col_indices
+    phi, gamma = _vectors(pinv.hom_factors, target.hom_factors)
 
     violations = []
     if not _interlaces(phi, gamma, z):
@@ -276,11 +350,10 @@ def _chain_check(pinv: Eigenstructure, target: CompletionTarget, theorem: str, c
     if rows and sum(1 for t in v if t > 0) < sum(1 for t in u if t > 0):
         violations.append("eta")
     if col_form:
-        a, b = build_gaps_col_form(phi, gamma, c, dd, x, z, d)
-        lead, exact = _col_lead(phi, c, dd, x, d), x == z
+        lead, exact, label = _col_lead(phi, c, dd, x, d), x == z, "col-form"
     else:
-        a, b = build_gaps_row_form(phi, gamma, u, v, x, z, d)
-        lead, exact = _row_lead(gamma, u, v), x == 0
+        lead, exact, label = _row_lead(gamma, u, v), x == 0, "row-form"
+    a, b = _gaps(phi, gamma, lead, x, z, d, label)
     details = {"x": x, "a": a, "b": b}
     if cols and not _holds(gen_majorizes, c, dd, a):
         violations.append("col-gen-majorization")
@@ -347,9 +420,9 @@ def construct_d(c, a):
 
 
 def _chain_family(name, pinv: Eigenstructure, x: int, z: int, phi, gamma, offset: int, exact=False):
-    """The conditions of the homogeneous-only theorem on the chains phi of P
-    and gamma of the target: interlacing, then the family j = 0..x-1
-    offset + dls_j + sum u + prefix(c, j) + sum c[x:] <= (r + x - j) d,
+    """The conditions of the homogeneous-only theorem on the exponent vector
+    chains phi of P and gamma of the target: interlacing, then the family
+    j = 0..x-1 offset + dls_j + sum u + prefix(c, j) + sum c[x:] <= (r + x - j) d,
     with equality at j = 0 when `exact`.  The failing j are listed in
     details["failed_j"] under the one violation `name`.  The finite- and
     infinite-only theorems are these conditions on chains whose other half
@@ -375,8 +448,8 @@ def _chain_family(name, pinv: Eigenstructure, x: int, z: int, phi, gamma, offset
 def check_hom_only(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
     """Only the homogeneous invariant factor chain prescribed."""
     r, x, d, n, m = _validate(pinv, target, "hom")
-    z, gamma = target.z, target.hom_factors
-    phi, c = pinv.hom_factors, pinv.col_indices
+    z, c = target.z, pinv.col_indices
+    phi, gamma = _vectors(pinv.hom_factors, target.hom_factors)
     if x < z or x == n - r:
         return _chain_family("hom-only-j", pinv, x, z, phi, gamma, 0, exact=x == z == n - r)
 
@@ -385,8 +458,7 @@ def check_hom_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasibilit
     details = {"x": x}
     if not _interlaces(phi, gamma, z):
         violations.append("interlacing")
-    sp = sum(homog_deg(p) for p in phi)
-    sg = sum(homog_deg(g) for g in gamma)
+    sp, sg = sum(map(sum, phi)), sum(map(sum, gamma))
     # threshold index against the implicit gap sequence of length x;
     # past position x the gap is -infinity, so the scan caps at x+1
     ell = x + 1
@@ -409,8 +481,10 @@ def check_finite_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasibi
     conditions on the finite parts, (alpha, t^0) for P and (beta, t^0) for
     the target, with the multiplicities of infinity of P as offset."""
     r, x, d, n, m = _validate(pinv, target, "finite")
-    phi = tuple(HomogPoly(a, 0) for a in pinv.alphas)
-    gamma = tuple(HomogPoly(b, 0) for b in target.finite_factors)
+    phi, gamma = _vectors(
+        tuple(HomogPoly(a, 0) for a in pinv.alphas),
+        tuple(HomogPoly(b, 0) for b in target.finite_factors),
+    )
     return _chain_family("finite-only-j", pinv, x, target.z, phi, gamma, sum(pinv.inf_mults))
 
 
@@ -419,10 +493,9 @@ def check_infinite_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasi
     homogeneous-only conditions on the t-powers, (1, t^e) for P and
     (1, t^f) for the target, with the finite degrees of P as offset."""
     r, x, d, n, m = _validate(pinv, target, "infinite")
-    # With rank-0 P no finite part of P meets the target's, so any field serves.
-    one = next((poly_one(h.field) for h in pinv.hom_factors), poly_one(QQ))
-    phi = tuple(HomogPoly(one, e) for e in pinv.inf_mults)
-    gamma = tuple(HomogPoly(one, int(f)) for f in target.inf_mults)
+    # a t-power alone is its own exponent vector: no finite part, no base
+    phi = tuple((e,) for e in pinv.inf_mults)
+    gamma = tuple((f,) for f in target.inf_mults)
     finite_degrees = sum(a.degree for a in pinv.alphas)
     return _chain_family("infinite-only-j", pinv, x, target.z, phi, gamma, finite_degrees)
 

@@ -206,6 +206,21 @@ def search_completion(P: PolyMatrix, z: int, dmax: int, predicate, budget: Searc
     return None
 
 
+def search_realization(target: Eigenstructure, field: FieldTag, budget: int):
+    """First matrix of the target's shape and degree (lexicographic
+    coefficient order) whose eigenstructure is `target`; None if none is."""
+    if field.is_rational:
+        raise ValueError("exhaustive search requires a finite field")
+    m, n, d = target.nrows, target.ncols, target.degree
+    size = search_space_size(field, m, n, d)
+    if size > budget:
+        raise BudgetExceededError(size, budget)
+    for P in all_completion_rows(field, m, n, d):
+        if not P.is_zero and degree_of(P) == d and eigenstructure(P) == target:
+            return P
+    return None
+
+
 # --- enumeration of candidate targets ---------------------------------------
 
 

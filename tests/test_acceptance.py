@@ -25,8 +25,8 @@ from polyeig import (
     stack_rows,
     union_desc,
 )
-from polyeig.feasibility import _dls, check_full_colform
-from polyeig.homog import homog_deg
+from polyeig.feasibility import check_full_colform
+from polyeig.homog import chain_at, homog_deg, homog_lcm
 from polyeig.oracle import THEOREMS, achieved_set, all_matrices, check_instance, project
 from polyeig.sequences import prefix_sum, seq_get
 
@@ -167,6 +167,12 @@ def test_criterion_6_lemma_suite():
             rhs = sum(bound[:j])
             assert lhs <= rhs if j < x else lhs == rhs, (c, d, a)
         checked += 1
+
+
+def _dls(phi, gamma, offset, upper):
+    """Sum over i = 1..upper of deg lcm(phi_{i+offset}, gamma_i), computed
+    with homog_lcm on the HomogPoly chains, apart from the checkers."""
+    return sum(homog_deg(homog_lcm(chain_at(phi, i + offset), chain_at(gamma, i))) for i in range(1, upper + 1))
 
 
 def _condition_415(pinv, gamma, x, z, d, n):

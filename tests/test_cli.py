@@ -280,6 +280,42 @@ def test_field_characteristic_is_strict(tmp_path, capsys):
         assert "unknown field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", ["1_000", "\u0663", "-5", "+3", " 7", "1.0", ""])
+def test_cli_integers_are_strict(tmp_path, capsys, monkeypatch, raw):
+    # int() would read 1000, 3, -5, 3 and 7 from the first five
+    grid = "gf2 n=1 m=1 z=1 d=1"
+    t = write(
+        tmp_path,
+        "t.json",
+        {"degree": 1, "rank": 1, "hom_factors": [{"alpha": [0, 1], "e": 0}], "col_indices": [], "row_indices": []},
+    )
+    mp = write(tmp_path, "m.json", MATRIX_S)
+    search = ["realize", "--target", t, "--search", "--field", "gf2"]
+    for argv in (
+        ["oracle", grid, f"--budget={raw}"],
+        ["oracle", grid, f"--jobs={raw}"],
+        [*search, f"--budget={raw}"],
+        [*search, f"--max-deg={raw}"],
+        ["check", mp, f"--add-rows={raw}", "--target", t],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "ASCII digits" in err, argv
+    monkeypatch.setenv("POLYEIG_BUDGET", raw)
+    for argv in (["oracle", grid], search):
+        assert main(argv) == 2, argv
+        assert "POLYEIG_BUDGET must be an integer" in capsys.readouterr().err
+
+
+def test_oracle_needs_a_job(capsys):
+    # a bad --jobs is refused before any worker starts
+    for jobs in ("0", "-3"):
+        assert main(["oracle", "gf2 n=1 m=1 z=1 d=1", "--jobs", jobs]) == 2
+        assert "--jobs must be an integer >= 1" in capsys.readouterr().err
+    code, doc = run(capsys, "oracle", "gf2 n=1 m=1 z=1 d=1", "--jobs", "1", "--budget", "100")
+    assert code == 0 and doc["mismatches"] == 0
+
+
 def test_oracle_empty_grid(capsys):
     from polyeig import GF
     from polyeig.oracle import GridSpec

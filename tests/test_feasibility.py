@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, strategies as st
 
 from polyeig import (
     GF,
@@ -369,3 +372,143 @@ def test_interlacing_evaluated_once_per_chain_check(monkeypatch):
                 feasibility.CHECKERS[theorem](pin, target_from_eigenstructure(cand, 1, theorem))
                 checks += 1
     assert checks == len(calls) == 468
+
+
+# --- chains as exponent vectors ----------------------------------------------
+
+
+def _ref_dls(phi, gamma, offset, upper):
+    """The lcm-degree sum on HomogPoly chains through homog_lcm: the
+    reference the exponent vectors must reproduce."""
+    from polyeig import chain_at, homog_deg, homog_lcm
+
+    return sum(homog_deg(homog_lcm(chain_at(phi, i + offset), chain_at(gamma, i))) for i in range(1, upper + 1))
+
+
+def _ref_gaps(phi, gamma, lead, x, z, d):
+    """Gap sequences a and b computed with homog_lcm on HomogPoly chains:
+    the reference for the public gap builders."""
+    r = len(phi)
+    a = []
+    if x >= 1:
+        a.append(lead - _ref_dls(phi, gamma, -x + 1, r + x - 1) - d)
+        for j in range(2, x + 1):
+            a.append(_ref_dls(phi, gamma, -x + j - 1, r + x - j + 1) - _ref_dls(phi, gamma, -x + j, r + x - j) - d)
+    b = []
+    if z - x >= 1:
+        b.append(lead - _ref_dls(phi, gamma, -x - 1, r + x))
+        for j in range(2, z - x + 1):
+            b.append(_ref_dls(phi, gamma, -x - j + 1, r + x) - _ref_dls(phi, gamma, -x - j, r + x))
+    return tuple(a), tuple(b)
+
+
+# shared by every field: parts that meet each other non-trivially
+_SHARED = ([0, 1], [0, 0, 1], [0, 1, 1], [1, 3, 3, 1])
+_POOLS = {
+    QQ: _SHARED + ([Fraction(1, 4), -1, 1], [1, 0, 1], [-2, 0, 1], [1, 1]),
+    GF(2): _SHARED + ([1, 1, 1], [1, 1]),
+    GF(3): _SHARED + ([1, 0, 1], [2, 1]),
+    GF(10007): _SHARED + ([1, 0, 1], [10002, 1], [1, 1]),
+}
+
+
+@st.composite
+def _chain(draw, field, length):
+    """A divisibility chain of HomogPoly: each factor is the previous one
+    times up to two parts from the field's pool and a power of t."""
+    pool = _POOLS[field]
+    alpha, e, out = Poly.make([1], field), 0, []
+    for _ in range(length):
+        for k in draw(st.lists(st.integers(0, len(pool) - 1), max_size=2)):
+            alpha = (alpha * Poly.make(pool[k], field)).monic()
+        e += draw(st.integers(0, 2))
+        out.append(HomogPoly(alpha, e))
+    return tuple(out)
+
+
+@st.composite
+def _chain_pair(draw):
+    field = draw(st.sampled_from(list(_POOLS)))
+    r = draw(st.integers(0, 3))
+    z = draw(st.integers(1, 3))
+    x = draw(st.integers(0, z))
+    return field, draw(_chain(field, r)), draw(_chain(field, r + x)), x, z
+
+
+@given(_chain_pair(), st.data())
+def test_exponent_vectors_match_homog_arithmetic(pair, data):
+    from polyeig import homog_deg, homog_divides, homog_lcm
+    from polyeig.feasibility import _vectors
+
+    field, phi, gamma, x, z = pair
+    pv, gv = _vectors(phi, gamma)
+    for f, fv in zip(phi + gamma, pv + gv):
+        assert sum(fv) == homog_deg(f)
+    for f, fv in zip(phi + gamma, pv + gv):
+        for g, gw in zip(phi + gamma, pv + gv):
+            assert sum(map(max, fv, gw)) == homog_deg(homog_lcm(f, g))
+            assert all(p <= q for p, q in zip(fv, gw)) == homog_divides(f, g)
+
+    ints = st.lists(st.integers(0, 4), max_size=4).map(tuple)
+    u, v, c, dd = (data.draw(ints) for _ in range(4))
+    d = data.draw(st.integers(1, 3))
+    row_lead = sum(v) - sum(u) + sum(map(homog_deg, gamma))
+    col_lead = sum(c) - sum(dd) + sum(map(homog_deg, phi)) + x * d
+    assert build_gaps_row_form(phi, gamma, u, v, x, z, d) == _ref_gaps(phi, gamma, row_lead, x, z, d)
+    assert build_gaps_col_form(phi, gamma, c, dd, x, z, d) == _ref_gaps(phi, gamma, col_lead, x, z, d)
+
+
+def test_checkers_compute_no_lcm(monkeypatch):
+    import sys
+
+    from polyeig import feasibility, homog, poly
+    from polyeig.oracle import all_matrices, target_from_eigenstructure
+    from polyeig.realize import enumerate_targets
+
+    counts = {"poly_lcm": 0, "homog_lcm": 0}
+    for name, fn in (("poly_lcm", poly.poly_lcm), ("homog_lcm", homog.homog_lcm)):
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for mod in [m for key, m in sys.modules.items() if key.startswith("polyeig")]:
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    # every checker and the column form, with the rank excess in range
+    F = GF(2)
+    cands = list(enumerate_targets(1, 2, 1, 1, F))
+    runs = [*feasibility.CHECKERS.items(), ("full", check_full_colform)]
+    checks = 0
+    for P in all_matrices(1, 2, 1, F):
+        pin = eigenstructure(P)
+        for cand in cands:
+            if 0 <= cand.rank - pin.rank <= min(1, 2 - pin.rank):
+                for theorem, checker in runs:
+                    checker(pin, target_from_eigenstructure(cand, 1, theorem))
+                    checks += 1
+    assert checks > 1000
+    assert counts == {"poly_lcm": 0, "homog_lcm": 0}
+    # the counters see a call made through the library
+    homog.homog_lcm(H([0, 1], field=GF(2)), H([1, 1], field=GF(2)))
+    assert counts == {"poly_lcm": 1, "homog_lcm": 1}
+
+
+def test_field_mismatch_is_a_domain_error():
+    from polyeig import FieldMismatchError, feasibility
+    from polyeig.oracle import target_from_eigenstructure
+    from polyeig.realize import enumerate_targets
+
+    pin = eigenstructure(M([[S, [1]]], GF(2)))  # rank 1, over GF(2)
+    cands = [es for es in enumerate_targets(1, 2, 1, 1, GF(3)) if es.rank - pin.rank in (0, 1)]
+    assert cands
+    runs = [*feasibility.CHECKERS.items(), ("full", check_full_colform)]
+    for cand in cands:
+        for theorem, checker in runs:
+            target = target_from_eigenstructure(cand, 1, theorem)
+            if theorem == "infinite":
+                # t-powers carry no field, so there is nothing to mismatch
+                assert isinstance(checker(pin, target), feasibility.FeasibilityReport)
+            else:
+                with pytest.raises(FieldMismatchError):
+                    checker(pin, target)
