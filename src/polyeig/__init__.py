@@ -7,19 +7,9 @@ constructive.
 """
 
 from .fields import GF, QQ, FieldMismatchError, FieldTag, same_field
-from .poly import Poly, poly_divides, poly_gcd, poly_lcm, poly_one, poly_s, poly_zero
-from .homog import (
-    HOMOG_ONE,
-    HOMOG_ZERO,
-    HomogPoly,
-    chain_at,
-    homog_deg,
-    homog_divides,
-    homog_lcm,
-    homog_one,
-    is_divisibility_chain,
-)
-from .sequences import InternalError, gen_majorizes, majorizes, union_desc
+from .poly import Poly, poly_divides, poly_gcd, poly_one, poly_s, poly_zero
+from .homog import HomogPoly, homog_deg, homog_divides, homog_one, is_divisibility_chain
+from .sequences import InternalError, gen_majorizes, majorizes
 from .matrix import (
     Eigenstructure,
     MinimalBasis,
@@ -40,8 +30,6 @@ from .feasibility import (
     ConstantMatrixError,
     FeasibilityReport,
     InvalidTargetError,
-    build_gaps_col_form,
-    build_gaps_row_form,
     check_existence,
     check_finite_only,
     check_full,
@@ -57,11 +45,9 @@ from .realize import (
     Companion,
     InfinityBlock,
     RowSingular,
-    SearchBudget,
     enumerate_targets,
     kronecker_block,
     realize_low_degree,
-    search_completion,
     search_realization,
 )
 
@@ -76,23 +62,17 @@ __all__ = [
     "Poly",
     "poly_divides",
     "poly_gcd",
-    "poly_lcm",
     "poly_one",
     "poly_s",
     "poly_zero",
-    "HOMOG_ONE",
-    "HOMOG_ZERO",
     "HomogPoly",
-    "chain_at",
     "homog_deg",
     "homog_divides",
-    "homog_lcm",
     "homog_one",
     "is_divisibility_chain",
     "InternalError",
     "gen_majorizes",
     "majorizes",
-    "union_desc",
     "Eigenstructure",
     "MinimalBasis",
     "PolyMatrix",
@@ -110,8 +90,6 @@ __all__ = [
     "ConstantMatrixError",
     "FeasibilityReport",
     "InvalidTargetError",
-    "build_gaps_col_form",
-    "build_gaps_row_form",
     "check_existence",
     "check_finite_only",
     "check_full",
@@ -125,10 +103,8 @@ __all__ = [
     "Companion",
     "InfinityBlock",
     "RowSingular",
-    "SearchBudget",
     "enumerate_targets",
     "kronecker_block",
     "realize_low_degree",
-    "search_completion",
     "search_realization",
 ]

@@ -6,18 +6,18 @@ feasibility and reports exactly which conditions fail.  All arithmetic is
 exact; conditions are integer inequalities between degree sums of
 homogeneous lcm chains plus (generalized) majorization tests on index
 sequences.  Each checker first turns both homogeneous chains into integer
-exponent vectors over one coprime base, and evaluates every lcm degree and
-divisibility on those integers.
+exponent vectors over one coprime base, and evaluates every lcm degree,
+divisibility and gap sequence on those integers; no lcm of polynomials is
+ever formed.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from operator import le
 
 from .fields import same_field
-from .homog import HomogPoly, homog_deg, is_divisibility_chain
+from .homog import HomogPoly, ensure_chain, homog_deg
 from .matrix import Eigenstructure
 from .poly import Poly, poly_divides, poly_gcd
 from .sequences import (
@@ -30,8 +30,6 @@ from .sequences import (
     prefix_sum,
     seq_get,
 )
-
-log = logging.getLogger(__name__)
 
 
 class InvalidTargetError(ValueError):
@@ -67,8 +65,7 @@ class CompletionTarget:
         if self.hom_factors is not None:
             if len(self.hom_factors) != self.rank:
                 raise InvalidTargetError("homogeneous chain length must equal the target rank")
-            if not is_divisibility_chain(self.hom_factors):
-                raise InvalidTargetError("homogeneous factors must form a divisibility chain")
+            ensure_chain(self.hom_factors, InvalidTargetError)
         if self.finite_factors is not None:
             if len(self.finite_factors) != self.rank:
                 raise InvalidTargetError("finite chain length must equal the target rank")
@@ -205,18 +202,6 @@ def _interlaces(phi, gamma, z: int) -> bool:
     )
 
 
-def _check_gap_shape(a, b, label: str):
-    # With the full hypotheses of the completion theorems the gap sequences
-    # are nonincreasing with nonnegative b; interlacing alone does not
-    # guarantee it (e.g. u=(1), v=(0,0) with unit chains gives b=(-1)), so
-    # violations are logged, never fatal.  Feasible instances are checked
-    # to satisfy these shape properties by the test suite.
-    monotone = all(p >= q for p, q in zip(a, a[1:])) and all(p >= q for p, q in zip(b, b[1:]))
-    tail_ok = not b or b[-1] >= 0
-    if not (monotone and tail_ok):
-        log.debug("%s gap sequences not monotone: a=%s b=%s", label, a, b)
-
-
 def _row_lead(gamma, u, v) -> int:
     """sum v - sum u + sum deg gamma: the leading gap term and the
     degree-sum bound in the row form."""
@@ -228,10 +213,14 @@ def _col_lead(phi, c, dd, x: int, d: int) -> int:
     return sum(c) - sum(dd) + sum(map(sum, phi)) + x * d
 
 
-def _gaps(phi, gamma, lead: int, x: int, z: int, d: int, label: str):
+def _gaps(phi, gamma, lead: int, x: int, z: int, d: int):
     """Gap sequences a (length x) and b (length z-x) of the exponent vector
-    chains; the two forms differ only in the leading term `lead` of a_1 and
-    b_1."""
+    chains.  The row form (through the row minimal indices u of P and v of
+    the completion) and the column form (through the column minimal indices
+    c and dd) differ only in the leading term `lead` of a_1 and b_1.  With
+    the full hypotheses of the completion theorems both are nonincreasing
+    and b is nonnegative; interlacing alone does not guarantee it (u=(1),
+    v=(0,0) with unit chains gives b=(-1))."""
     r = len(phi)
     a = []
     if x >= 1:
@@ -249,24 +238,7 @@ def _gaps(phi, gamma, lead: int, x: int, z: int, d: int, label: str):
             b.append(
                 _dls(phi, gamma, -x - j + 1, r + x) - _dls(phi, gamma, -x - j, r + x)
             )
-    a, b = tuple(a), tuple(b)
-    _check_gap_shape(a, b, label)
-    return a, b
-
-
-def build_gaps_row_form(phi, gamma, u, v, x: int, z: int, d: int):
-    """Gap sequences a (length x) and b (length z-x) expressed through the
-    row minimal indices u of P and v of the completion."""
-    phi, gamma = _vectors(phi, gamma)
-    return _gaps(phi, gamma, _row_lead(gamma, u, v), x, z, d, "row-form")
-
-
-def build_gaps_col_form(phi, gamma, c, dd, x: int, z: int, d: int):
-    """Gap sequences expressed through the column minimal indices c of P
-    and dd of the completion; only the leading entries differ from the
-    row form."""
-    phi, gamma = _vectors(phi, gamma)
-    return _gaps(phi, gamma, _col_lead(phi, c, dd, x, d), x, z, d, "col-form")
+    return tuple(a), tuple(b)
 
 
 def _holds(test, *args) -> bool:
@@ -350,10 +322,10 @@ def _chain_check(pinv: Eigenstructure, target: CompletionTarget, theorem: str, c
     if rows and sum(1 for t in v if t > 0) < sum(1 for t in u if t > 0):
         violations.append("eta")
     if col_form:
-        lead, exact, label = _col_lead(phi, c, dd, x, d), x == z, "col-form"
+        lead, exact = _col_lead(phi, c, dd, x, d), x == z
     else:
-        lead, exact, label = _row_lead(gamma, u, v), x == 0, "row-form"
-    a, b = _gaps(phi, gamma, lead, x, z, d, label)
+        lead, exact = _row_lead(gamma, u, v), x == 0
+    a, b = _gaps(phi, gamma, lead, x, z, d)
     details = {"x": x, "a": a, "b": b}
     if cols and not _holds(gen_majorizes, c, dd, a):
         violations.append("col-gen-majorization")
@@ -453,27 +425,18 @@ def check_hom_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasibilit
     if x < z or x == n - r:
         return _chain_family("hom-only-j", pinv, x, z, phi, gamma, 0, exact=x == z == n - r)
 
-    # x == z < n - r
+    # x == z < n - r: the prefix cuts of c against the gaps a with leading
+    # term sum deg gamma, so that prefix(a, j) = sum deg gamma - dls_j - j d
     violations = []
-    details = {"x": x}
     if not _interlaces(phi, gamma, z):
         violations.append("interlacing")
-    sp, sg = sum(map(sum, phi)), sum(map(sum, gamma))
-    # threshold index against the implicit gap sequence of length x;
-    # past position x the gap is -infinity, so the scan caps at x+1
-    ell = x + 1
-    for j in range(1, x + 1):
-        if prefix_sum(c, j) > sg - _dls(phi, gamma, j - x, r + x - j) - j * d:
-            ell = j
-            break
-    details["ell"] = ell
-    if prefix_sum(c, x + 1) - seq_get(c, ell) < sg - sp - x * d:
+    a, _ = _gaps(phi, gamma, sum(map(sum, gamma)), x, z, d)
+    ell, sum_ok, tail_ok = _prefix_cuts(c, a)
+    if not sum_ok:
         violations.append("c-sum-ell")
-    for j in range(ell, x):
-        if sum(c[j + 1 : x + 1]) < _dls(phi, gamma, j - x, r + x - j) - sp - (x - j) * d:
-            violations.append("c-sum-tail")
-            break
-    return FeasibilityReport(tuple(violations), details)
+    if not tail_ok:
+        violations.append("c-sum-tail")
+    return FeasibilityReport(tuple(violations), {"x": x, "ell": ell})
 
 
 def check_finite_only(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:

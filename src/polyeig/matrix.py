@@ -12,8 +12,8 @@ from functools import reduce
 from math import gcd, lcm
 
 from .fields import FieldTag, same_field
-from .homog import HomogPoly, is_divisibility_chain
-from .poly import Poly, poly_zero
+from .homog import HomogPoly, ensure_chain
+from .poly import Poly
 from .sequences import InternalError, ensure_ints, ensure_partition
 
 
@@ -113,8 +113,7 @@ class Eigenstructure:
             raise ValueError("column index count must be cols - rank")
         if len(self.row_indices) != self.nrows - self.rank:
             raise ValueError("row index count must be rows - rank")
-        if not is_divisibility_chain(self.hom_factors):
-            raise ValueError("homogeneous factors must form a divisibility chain")
+        ensure_chain(self.hom_factors)
         ensure_partition(self.col_indices, "column minimal indices")
         ensure_partition(self.row_indices, "row minimal indices")
 
@@ -380,34 +379,6 @@ def right_minimal_basis(P: PolyMatrix, rank: int | None = None):
     if len(chosen) != want:
         raise InternalError("kernel dimension not reached within the degree cap")
     return [vec for _, vec in sorted(chosen.values(), key=lambda t: -t[0])]
-
-
-def _coeff_block(vec, k: int, field: FieldTag):
-    return [e.coeffs[k] if k <= e.degree else field.zero for e in vec]
-
-
-def is_column_reduced(vectors, field: FieldTag) -> bool:
-    """Forney criterion: the matrix of per-column leading coefficient
-    vectors has full column rank."""
-    if not vectors:
-        return True
-    n = len(vectors[0])
-    cols = []
-    for vec in vectors:
-        deg = max(e.degree for e in vec)
-        cols.append(_coeff_block(vec, deg, field))
-    rows = [[col[i] for col in cols] for i in range(n)]
-    return matrix_rank_constant(rows, field) == len(vectors)
-
-
-def apply_matrix(P: PolyMatrix, vec) -> tuple:
-    out = []
-    for row in P.entries:
-        acc = poly_zero(P.field)
-        for e, v in zip(row, vec):
-            acc = acc + e * v
-        out.append(acc)
-    return tuple(out)
 
 
 def minimal_indices(P: PolyMatrix, rank: int | None = None):

@@ -174,10 +174,3 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, a % b
     return a.monic()
-
-
-def poly_lcm(p: Poly, q: Poly) -> Poly:
-    """Monic least common multiple of two nonzero polynomials."""
-    if p.is_zero or q.is_zero:
-        raise ValueError("lcm requires nonzero polynomials")
-    return ((p * q) // poly_gcd(p, q)).monic()

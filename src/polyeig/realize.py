@@ -20,7 +20,6 @@ from .matrix import (
     companion_form,
     degree_of,
     eigenstructure,
-    stack_rows,
 )
 from .poly import Poly, poly_one
 from .sequences import InternalError
@@ -69,13 +68,6 @@ class RowSingular:
     def __post_init__(self):
         if self.k < 0:
             raise ValueError("singular block index must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Cap on exhaustive enumeration size; refused up front when exceeded."""
-
-    limit: int
 
 
 def kronecker_block(kind, field: FieldTag | None = None) -> PolyMatrix:
@@ -190,20 +182,6 @@ def all_completion_rows(field: FieldTag, z: int, n: int, dmax: int):
 
 def search_space_size(field: FieldTag, z: int, n: int, dmax: int) -> int:
     return field.p ** (z * n * (dmax + 1))
-
-
-def search_completion(P: PolyMatrix, z: int, dmax: int, predicate, budget: SearchBudget):
-    """First completion W (lexicographic coefficient order) such that the
-    eigenstructure of [P; W] satisfies the predicate; None if exhausted."""
-    if P.field.is_rational:
-        raise ValueError("exhaustive search requires a finite field")
-    size = search_space_size(P.field, z, P.cols, dmax)
-    if size > budget.limit:
-        raise BudgetExceededError(size, budget.limit)
-    for W in all_completion_rows(P.field, z, P.cols, dmax):
-        if predicate(eigenstructure(stack_rows(P, W))):
-            return W
-    return None
 
 
 def search_realization(target: Eigenstructure, field: FieldTag, budget: int):

@@ -106,8 +106,3 @@ def gen_majorizes(g, d, a) -> bool:
         if prefix_sum(g, h) - prefix_sum(d, h - j) > prefix_sum(a, j):
             return False
     return sum(g) == sum(d) + sum(a)
-
-
-def union_desc(u, b) -> tuple:
-    """Multiset union of two sequences, sorted nonincreasingly."""
-    return tuple(sorted(tuple(u) + tuple(b), reverse=True))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polyeig import GF, QQ, Poly, PolyMatrix
+from polyeig import GF, QQ, HomogPoly, Poly, PolyMatrix, homog_deg, poly_gcd
 
 
 @pytest.fixture
@@ -29,3 +29,21 @@ def random_matrix(rng, m, n, d, field, coeff_range=(-3, 3)):
 
 
 FIELDS = [QQ, GF(2), GF(3)]
+
+
+def ref_lcm(f, g):
+    """lcm of two HomogPoly in polynomial arithmetic: the lcm of the finite
+    parts with the larger t-power."""
+    alpha = (f.alpha * g.alpha) // poly_gcd(f.alpha, g.alpha)
+    return HomogPoly(alpha.monic(), max(f.e, g.e))
+
+
+def ref_dls(phi, gamma, offset, upper):
+    """Sum over i = 1..upper of deg lcm(phi_{i+offset}, gamma_i) on the
+    HomogPoly chains, a position below phi being the unit: the reference
+    for the checkers' lcm-degree sums on exponent vectors."""
+    total = 0
+    for i in range(1, upper + 1):
+        k = i + offset
+        total += homog_deg(ref_lcm(phi[k - 1], gamma[i - 1]) if k >= 1 else gamma[i - 1])
+    return total

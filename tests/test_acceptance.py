@@ -21,16 +21,15 @@ from polyeig import (
     eigenstructure,
     enumerate_targets,
     gen_majorizes,
+    homog_deg,
     realize_low_degree,
     stack_rows,
-    union_desc,
 )
 from polyeig.feasibility import check_full_colform
-from polyeig.homog import chain_at, homog_deg, homog_lcm
 from polyeig.oracle import THEOREMS, achieved_set, all_matrices, check_instance, project
 from polyeig.sequences import prefix_sum, seq_get
 
-from conftest import random_matrix
+from conftest import random_matrix, ref_dls
 
 SEED = 20260823
 
@@ -136,7 +135,7 @@ def test_criterion_6_lemma_suite():
     for _ in range(10_000):
         u = _random_nonincreasing(rng, rng.randint(0, 4))
         b = _random_nonincreasing(rng, rng.randint(0, 4))
-        assert gen_majorizes(union_desc(u, b), u, b)
+        assert gen_majorizes(tuple(sorted(u + b, reverse=True)), u, b)
     # existence lemma: prefix-cut conditions hold iff some d works, and the
     # explicit construction is a witness
     for _ in range(2000):
@@ -169,12 +168,6 @@ def test_criterion_6_lemma_suite():
         checked += 1
 
 
-def _dls(phi, gamma, offset, upper):
-    """Sum over i = 1..upper of deg lcm(phi_{i+offset}, gamma_i), computed
-    with homog_lcm on the HomogPoly chains, apart from the checkers."""
-    return sum(homog_deg(homog_lcm(chain_at(phi, i + offset), chain_at(gamma, i))) for i in range(1, upper + 1))
-
-
 def _condition_415(pinv, gamma, x, z, d, n):
     """The j-indexed degree-sum family of the homogeneous-only theorem,
     case x < z or x = z = n - r (non-strict form, no equality clause)."""
@@ -182,7 +175,7 @@ def _condition_415(pinv, gamma, x, z, d, n):
     r = pinv.rank
     su, tail_c = sum(u), sum(c[x:])
     for j in range(x):
-        lhs = _dls(phi, gamma, j - x, r + x - j) + su + prefix_sum(c, j) + tail_c
+        lhs = ref_dls(phi, gamma, j - x, r + x - j) + su + prefix_sum(c, j) + tail_c
         if lhs > (r + x - j) * d:
             return False
     return True
@@ -197,9 +190,10 @@ def test_criterion_7_remark_cross_checks():
     for m, n, d in GRID + [(1, 3, 1), (2, 3, 1), (1, 3, 2)]:
         if checked_forms >= 10_000:
             break
+        cands = list(enumerate_targets(m, n, 1, d, F))
         for P in all_matrices(m, n, d, F):
             pinv = eigenstructure(P)
-            for cand in enumerate_targets(m, n, 1, d, F):
+            for cand in cands:
                 x = cand.rank - pinv.rank
                 if not 0 <= x <= min(1, n - pinv.rank):
                     continue
@@ -218,9 +212,10 @@ def test_criterion_7_remark_cross_checks():
     checked_hom = 0
     for m, n, d in ((1, 3, 1), (1, 3, 2), (2, 3, 1)):
         mats = list(all_matrices(m, n, d, F))
+        cands = list(enumerate_targets(m, n, 1, d, F))
         for P in rng.sample(mats, min(80, len(mats))):
             pinv = eigenstructure(P)
-            for cand in enumerate_targets(m, n, 1, d, F):
+            for cand in cands:
                 x = cand.rank - pinv.rank
                 z = x  # case 2 requires x = z
                 if not 0 <= x <= min(z, n - pinv.rank) or x >= n - pinv.rank:

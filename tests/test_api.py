@@ -1,0 +1,29 @@
+import importlib
+
+import polyeig
+
+# Names that have left the API, by the module that held them: the sentinel
+# chain algebra, the lcm helpers and the wrappers that no library path ran.
+REMOVED = {
+    "homog": ("HOMOG_ONE", "HOMOG_ZERO", "chain_at", "homog_lcm"),
+    "poly": ("poly_lcm",),
+    "feasibility": ("build_gaps_row_form", "build_gaps_col_form", "_check_gap_shape"),
+    "matrix": ("is_column_reduced", "apply_matrix", "_coeff_block", "reversal"),
+    "realize": ("SearchBudget", "search_completion"),
+    "sequences": ("union_desc",),
+}
+
+
+def test_all_names_resolve():
+    assert len(set(polyeig.__all__)) == len(polyeig.__all__)
+    for name in polyeig.__all__:
+        assert getattr(polyeig, name) is not None, name
+
+
+def test_removed_names_are_gone():
+    for module, names in REMOVED.items():
+        mod = importlib.import_module(f"polyeig.{module}")
+        for name in names:
+            assert not hasattr(polyeig, name), name
+            assert not hasattr(mod, name), f"{module}.{name}"
+    assert not hasattr(polyeig.HomogPoly, "is_unit")

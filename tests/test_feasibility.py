@@ -13,8 +13,6 @@ from polyeig import (
     InvalidTargetError,
     Poly,
     PolyMatrix,
-    build_gaps_col_form,
-    build_gaps_row_form,
     check_existence,
     check_finite_only,
     check_full,
@@ -26,7 +24,10 @@ from polyeig import (
     eigenstructure,
     gen_majorizes,
 )
+from polyeig import feasibility
 from polyeig.feasibility import check_full_colform
+
+from conftest import ref_dls, ref_lcm
 
 S = [0, 1]
 
@@ -46,17 +47,31 @@ def ES(degree, rank, hom, col, row):
 # --- gap builders ------------------------------------------------------------
 
 
+def _row_gaps(phi, gamma, u, v, x, z, d):
+    """Gap sequences of HomogPoly chains through the row minimal indices u
+    of P and v of the completion, as the row-form checkers build them."""
+    pv, gv = feasibility._vectors(phi, gamma)
+    return feasibility._gaps(pv, gv, feasibility._row_lead(gv, u, v), x, z, d)
+
+
+def _col_gaps(phi, gamma, c, dd, x, z, d):
+    """The same through the column minimal indices c of P and dd of the
+    completion, as the column-form checkers build them."""
+    pv, gv = feasibility._vectors(phi, gamma)
+    return feasibility._gaps(pv, gv, feasibility._col_lead(pv, c, dd, x, d), x, z, d)
+
+
 def test_row_gaps_collapse_at_x0():
     phi = (H(S),)
-    a, b = build_gaps_row_form(phi, (H(S),), (), (0,), 0, 1, 1)
+    a, b = _row_gaps(phi, (H(S),), (), (0,), 0, 1, 1)
     assert a == () and b == (0,)
-    a, b = build_gaps_row_form(phi, (H([1]),), (), (1,), 0, 1, 1)
+    a, b = _row_gaps(phi, (H([1]),), (), (1,), 0, 1, 1)
     assert a == () and b == (1,)
 
 
 def test_col_gaps_example():
     phi = (H([1]),)
-    a, b = build_gaps_col_form(phi, (H([1]), H([1])), (1,), (), 1, 1, 1)
+    a, b = _col_gaps(phi, (H([1]), H([1])), (1,), (), 1, 1, 1)
     assert a == (1,) and b == ()
 
 
@@ -64,7 +79,7 @@ def test_col_gaps_unit_chain_collapse():
     # all-unit chains: a1 reduces to sum(c) - sum(dd) + (x-1)d
     phi = (H([1]), H([1]))
     gamma = (H([1]), H([1]), H([1]))
-    a, b = build_gaps_col_form(phi, gamma, (2, 1), (1,), 1, 1, 2)
+    a, b = _col_gaps(phi, gamma, (2, 1), (1,), 1, 1, 2)
     assert a == (2 + 1 - 1 + 0 * 2,)
 
 
@@ -216,6 +231,33 @@ def test_target_integer_parts_are_strict():
             CompletionTarget(**{"z": 1, "rank": 1, **bad})
 
 
+def test_target_chain_entries_are_homog():
+    for chain in ((1,), ("x",), (H([1]), 1), ("x", H([1]))):
+        with pytest.raises(InvalidTargetError, match="must be HomogPoly"):
+            CompletionTarget(z=1, rank=len(chain), hom_factors=chain)
+
+
+def test_hom_only_prefix_cuts_at_x_equal_z():
+    # x = z < n - r: the prefix cuts of c against the gaps a with leading
+    # term sum deg gamma, prefix(a, j) = sum deg gamma - dls_j - j d
+    F = GF(2)
+    s = H(S, field=F)
+    pin = eigenstructure(M([[[], S, [1]]], F))  # c = (1, 0), chain (1)
+    # gamma_1 = s does not divide phi_1 = 1; a = (2 - deg lcm(1, s) - 1,)
+    # = (0,), and the cut prefix(c, 2) - c_1 = 0 >= 0 holds
+    rep = check_hom_only(pin, CompletionTarget(z=1, rank=2, hom_factors=(s, s)))
+    assert rep.violations == ("interlacing",) and rep.details == {"x": 1, "ell": 1}
+    # interlacing chains over Q, so the cuts decide
+    pin = ES(2, 2, (H(S), H(S, 1)), (3, 2, 1), (2,))
+    gamma = (H(S), H(S, 1), H([0, 0, 1], 2), H([0, 0, 1], 2))
+    rep = check_hom_only(pin, CompletionTarget(z=2, rank=4, hom_factors=gamma))
+    assert rep.violations == ("c-sum-ell", "c-sum-tail") and rep.details == {"x": 2, "ell": 1}
+    pin = ES(1, 2, (H(S, 1), H(S, 1)), (3, 3, 1, 0, 0), (1,))
+    gamma = (H(S), H(S), H([0, 0, 1]), H([0, 0, 1], 1), H([0, 0, 1], 2))
+    rep = check_hom_only(pin, CompletionTarget(z=3, rank=5, hom_factors=gamma))
+    assert rep.violations == ("c-sum-tail",) and rep.details == {"x": 3, "ell": 1}
+
+
 def test_hom_only_x0():
     pin = eigenstructure(M([[S]]))
     assert check_hom_only(pin, CompletionTarget(z=1, rank=1, hom_factors=(H(S),))).feasible
@@ -344,7 +386,7 @@ def test_gap_shapes_on_feasible_instances():
         pin = eigenstructure(P)
         for es in achieved_set(P, 1, 1):
             x = es.rank - pin.rank
-            a, b = build_gaps_row_form(
+            a, b = _row_gaps(
                 pin.hom_factors, es.hom_factors, pin.row_indices, es.row_indices, x, 1, 1
             )
             assert all(p >= q for p, q in zip(a, a[1:]))
@@ -377,28 +419,20 @@ def test_interlacing_evaluated_once_per_chain_check(monkeypatch):
 # --- chains as exponent vectors ----------------------------------------------
 
 
-def _ref_dls(phi, gamma, offset, upper):
-    """The lcm-degree sum on HomogPoly chains through homog_lcm: the
-    reference the exponent vectors must reproduce."""
-    from polyeig import chain_at, homog_deg, homog_lcm
-
-    return sum(homog_deg(homog_lcm(chain_at(phi, i + offset), chain_at(gamma, i))) for i in range(1, upper + 1))
-
-
 def _ref_gaps(phi, gamma, lead, x, z, d):
-    """Gap sequences a and b computed with homog_lcm on HomogPoly chains:
-    the reference for the public gap builders."""
+    """Gap sequences a and b computed with polynomial lcms on HomogPoly
+    chains: the reference for the checkers' gap sequences."""
     r = len(phi)
     a = []
     if x >= 1:
-        a.append(lead - _ref_dls(phi, gamma, -x + 1, r + x - 1) - d)
+        a.append(lead - ref_dls(phi, gamma, -x + 1, r + x - 1) - d)
         for j in range(2, x + 1):
-            a.append(_ref_dls(phi, gamma, -x + j - 1, r + x - j + 1) - _ref_dls(phi, gamma, -x + j, r + x - j) - d)
+            a.append(ref_dls(phi, gamma, -x + j - 1, r + x - j + 1) - ref_dls(phi, gamma, -x + j, r + x - j) - d)
     b = []
     if z - x >= 1:
-        b.append(lead - _ref_dls(phi, gamma, -x - 1, r + x))
+        b.append(lead - ref_dls(phi, gamma, -x - 1, r + x))
         for j in range(2, z - x + 1):
-            b.append(_ref_dls(phi, gamma, -x - j + 1, r + x) - _ref_dls(phi, gamma, -x - j, r + x))
+            b.append(ref_dls(phi, gamma, -x - j + 1, r + x) - ref_dls(phi, gamma, -x - j, r + x))
     return tuple(a), tuple(b)
 
 
@@ -437,16 +471,15 @@ def _chain_pair(draw):
 
 @given(_chain_pair(), st.data())
 def test_exponent_vectors_match_homog_arithmetic(pair, data):
-    from polyeig import homog_deg, homog_divides, homog_lcm
-    from polyeig.feasibility import _vectors
+    from polyeig import homog_deg, homog_divides
 
     field, phi, gamma, x, z = pair
-    pv, gv = _vectors(phi, gamma)
+    pv, gv = feasibility._vectors(phi, gamma)
     for f, fv in zip(phi + gamma, pv + gv):
         assert sum(fv) == homog_deg(f)
     for f, fv in zip(phi + gamma, pv + gv):
         for g, gw in zip(phi + gamma, pv + gv):
-            assert sum(map(max, fv, gw)) == homog_deg(homog_lcm(f, g))
+            assert sum(map(max, fv, gw)) == homog_deg(ref_lcm(f, g))
             assert all(p <= q for p, q in zip(fv, gw)) == homog_divides(f, g)
 
     ints = st.lists(st.integers(0, 4), max_size=4).map(tuple)
@@ -454,44 +487,8 @@ def test_exponent_vectors_match_homog_arithmetic(pair, data):
     d = data.draw(st.integers(1, 3))
     row_lead = sum(v) - sum(u) + sum(map(homog_deg, gamma))
     col_lead = sum(c) - sum(dd) + sum(map(homog_deg, phi)) + x * d
-    assert build_gaps_row_form(phi, gamma, u, v, x, z, d) == _ref_gaps(phi, gamma, row_lead, x, z, d)
-    assert build_gaps_col_form(phi, gamma, c, dd, x, z, d) == _ref_gaps(phi, gamma, col_lead, x, z, d)
-
-
-def test_checkers_compute_no_lcm(monkeypatch):
-    import sys
-
-    from polyeig import feasibility, homog, poly
-    from polyeig.oracle import all_matrices, target_from_eigenstructure
-    from polyeig.realize import enumerate_targets
-
-    counts = {"poly_lcm": 0, "homog_lcm": 0}
-    for name, fn in (("poly_lcm", poly.poly_lcm), ("homog_lcm", homog.homog_lcm)):
-
-        def counted(*args, _fn=fn, _name=name):
-            counts[_name] += 1
-            return _fn(*args)
-
-        for mod in [m for key, m in sys.modules.items() if key.startswith("polyeig")]:
-            if getattr(mod, name, None) is fn:
-                monkeypatch.setattr(mod, name, counted)
-    # every checker and the column form, with the rank excess in range
-    F = GF(2)
-    cands = list(enumerate_targets(1, 2, 1, 1, F))
-    runs = [*feasibility.CHECKERS.items(), ("full", check_full_colform)]
-    checks = 0
-    for P in all_matrices(1, 2, 1, F):
-        pin = eigenstructure(P)
-        for cand in cands:
-            if 0 <= cand.rank - pin.rank <= min(1, 2 - pin.rank):
-                for theorem, checker in runs:
-                    checker(pin, target_from_eigenstructure(cand, 1, theorem))
-                    checks += 1
-    assert checks > 1000
-    assert counts == {"poly_lcm": 0, "homog_lcm": 0}
-    # the counters see a call made through the library
-    homog.homog_lcm(H([0, 1], field=GF(2)), H([1, 1], field=GF(2)))
-    assert counts == {"poly_lcm": 1, "homog_lcm": 1}
+    assert _row_gaps(phi, gamma, u, v, x, z, d) == _ref_gaps(phi, gamma, row_lead, x, z, d)
+    assert _col_gaps(phi, gamma, c, dd, x, z, d) == _ref_gaps(phi, gamma, col_lead, x, z, d)
 
 
 def test_field_mismatch_is_a_domain_error():

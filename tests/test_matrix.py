@@ -13,6 +13,7 @@ from polyeig import (
     QQ,
     Eigenstructure,
     FieldMismatchError,
+    HomogPoly,
     Poly,
     PolyMatrix,
     ZeroMatrixError,
@@ -27,7 +28,7 @@ from polyeig import (
     smith_form,
     stack_rows,
 )
-from polyeig.matrix import apply_matrix, is_column_reduced, nullspace
+from polyeig.matrix import matrix_rank_constant, nullspace
 
 from conftest import FIELDS, random_matrix
 
@@ -36,6 +37,30 @@ S = [0, 1]
 
 def M(rows, field=QQ):
     return PolyMatrix.make(rows, field)
+
+
+def apply_matrix(P, vec):
+    """P times the polynomial vector vec."""
+    out = []
+    for row in P.entries:
+        acc = poly_zero(P.field)
+        for e, v in zip(row, vec):
+            acc = acc + e * v
+        out.append(acc)
+    return tuple(out)
+
+
+def is_column_reduced(vectors, field):
+    """Forney criterion: the matrix of per-column leading coefficient
+    vectors has full column rank."""
+    if not vectors:
+        return True
+    cols = []
+    for vec in vectors:
+        deg = max(e.degree for e in vec)
+        cols.append([e.coeffs[deg] if deg <= e.degree else field.zero for e in vec])
+    rows = [[col[i] for col in cols] for i in range(len(vectors[0]))]
+    return matrix_rank_constant(rows, field) == len(vectors)
 
 
 def chain_repr(es):
@@ -220,6 +245,13 @@ def test_eigenstructure_integer_fields_are_strict():
     ):
         with pytest.raises(ValueError, match="must be integers"):
             Eigenstructure(**{**good, **bad})
+
+
+def test_eigenstructure_chain_entries_are_homog():
+    one = HomogPoly(Poly.make([1], QQ), 0)
+    for chain in ((1,), ("x",), (one, 1), ("x", one)):
+        with pytest.raises(ValueError, match="must be HomogPoly"):
+            Eigenstructure(1, len(chain), chain, (), (), len(chain), len(chain))
 
 
 # --- nullspace against the field-generic Gauss-Jordan reference ---------------

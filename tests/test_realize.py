@@ -10,14 +10,13 @@ from polyeig import (
     HomogPoly,
     InfinityBlock,
     Poly,
-    PolyMatrix,
     RowSingular,
-    SearchBudget,
     eigenstructure,
     enumerate_targets,
     kronecker_block,
+    homog_one,
     realize_low_degree,
-    search_completion,
+    search_realization,
 )
 
 S = [0, 1]
@@ -97,25 +96,26 @@ def test_realize_round_trip_gf2():
 
 
 def test_search_examples():
+    # the first 2 x 1 matrix of degree 1, in lexicographic coefficient
+    # order, with each eigenstructure
     F = GF(2)
-    P = PolyMatrix.make([[S]], F)
-    budget = SearchBudget(10**6)
     s_h = HomogPoly(Poly.make(S, F), 0)
-    unit = HomogPoly(Poly.make([1], F), 0)
-    W = search_completion(P, 1, 1, lambda es: es.hom_factors == (s_h,) and es.row_indices == (0,), budget)
-    assert grid(W) == [["0"]]
-    W2 = search_completion(P, 1, 1, lambda es: es.hom_factors == (unit,) and es.row_indices == (1,), budget)
-    assert grid(W2) == [["1"]]
-    assert search_completion(P, 1, 1, lambda es: any(h.alpha.degree == 2 for h in es.hom_factors), budget) is None
+    P = search_realization(ES(1, 1, (s_h,), (), (0,)), F, 10**6)
+    assert grid(P) == [["0"], ["s"]]
+    P2 = search_realization(ES(1, 1, (homog_one(F),), (), (1,)), F, 10**6)
+    assert grid(P2) == [["s"], ["1"]]
+    # a degree-2 factor breaks the index sum of a degree-1 matrix
+    s2 = HomogPoly(Poly.make([0, 0, 1], F), 0)
+    assert search_realization(ES(1, 1, (s2,), (), (0,)), F, 10**6) is None
 
 
 def test_search_budget():
     F = GF(2)
-    P = PolyMatrix.make([[S]], F)
+    target = ES(1, 1, (homog_one(F),), (), (1,))
     with pytest.raises(BudgetExceededError):
-        search_completion(P, 1, 1, lambda es: True, SearchBudget(3))
+        search_realization(target, F, 3)
     with pytest.raises(ValueError):
-        search_completion(PolyMatrix.make([[S]], QQ), 1, 1, lambda es: True, SearchBudget(10))
+        search_realization(target, QQ, 10)
 
 
 def test_enumerate_targets_examples():
@@ -130,7 +130,7 @@ def test_enumerate_targets_examples():
     # degree 0: only the all-unit structure
     zero_deg = list(enumerate_targets(1, 1, 1, 0, F))
     assert all(
-        all(h.is_unit for h in es.hom_factors)
+        all(h == homog_one(F) for h in es.hom_factors)
         and set(es.col_indices) <= {0}
         and set(es.row_indices) <= {0}
         for es in zero_deg
