@@ -62,6 +62,10 @@ class CompletionTarget:
             raise InvalidTargetError("number of added rows must be nonnegative")
         if self.rank < 1:
             raise InvalidTargetError("target rank must be positive")
+        for name in ("hom_factors", "finite_factors", "inf_mults", "col_indices", "row_indices"):
+            part = getattr(self, name)
+            if part is not None and not isinstance(part, tuple):
+                raise InvalidTargetError(f"{name} must be a tuple, got {part!r}")
         if self.hom_factors is not None:
             if len(self.hom_factors) != self.rank:
                 raise InvalidTargetError("homogeneous chain length must equal the target rank")

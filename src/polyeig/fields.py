@@ -14,16 +14,29 @@ class FieldMismatchError(ValueError):
     """Operands live over different coefficient fields."""
 
 
+# Miller-Rabin with the primes up to 41 as bases is exact below the least strong
+# pseudoprime to all of them, MAX_CHARACTERISTIC + 1 (Sorenson & Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_CHARACTERISTIC = 3317044064679887385961980
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    """Deterministic Miller-Rabin; a p above MAX_CHARACTERISTIC is refused."""
+    if p > MAX_CHARACTERISTIC:
+        raise ValueError(f"characteristic above {MAX_CHARACTERISTIC} is not supported, got {p}")
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s * d, d odd
+    for b in _MR_BASES:
+        x = pow(b, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        f += 2
     return True
 
 

@@ -91,31 +91,37 @@ class MinimalBasis:
 
 @dataclass(frozen=True)
 class Eigenstructure:
-    """Complete structural data of a nonzero polynomial matrix."""
+    """Complete structural data of a nonzero polynomial matrix.  Each row
+    and column beyond the rank carries one minimal index: the shape."""
 
     degree: int
     rank: int
     hom_factors: tuple  # divisibility chain of HomogPoly, length rank
     col_indices: tuple  # partition, length cols - rank
     row_indices: tuple  # partition, length rows - rank
-    nrows: int
-    ncols: int
 
     def __post_init__(self):
-        ensure_ints((self.degree, self.rank, self.nrows, self.ncols), "degree, rank and shape")
+        ensure_ints((self.degree, self.rank), "degree and rank")
         if self.degree < 0:
             raise ValueError("degree must be nonnegative")
-        if self.rank < 0 or self.rank > min(self.nrows, self.ncols):
-            raise ValueError("rank out of range")
+        if self.rank < 0:
+            raise ValueError("rank must be nonnegative")
+        for name in ("hom_factors", "col_indices", "row_indices"):
+            if not isinstance(getattr(self, name), tuple):
+                raise ValueError(f"{name} must be a tuple, got {getattr(self, name)!r}")
         if len(self.hom_factors) != self.rank:
             raise ValueError("chain length must equal the rank")
-        if len(self.col_indices) != self.ncols - self.rank:
-            raise ValueError("column index count must be cols - rank")
-        if len(self.row_indices) != self.nrows - self.rank:
-            raise ValueError("row index count must be rows - rank")
         ensure_chain(self.hom_factors)
         ensure_partition(self.col_indices, "column minimal indices")
         ensure_partition(self.row_indices, "row minimal indices")
+
+    @property
+    def nrows(self) -> int:
+        return self.rank + len(self.row_indices)
+
+    @property
+    def ncols(self) -> int:
+        return self.rank + len(self.col_indices)
 
     @property
     def alphas(self) -> tuple:
@@ -230,62 +236,72 @@ def _integer_row(row):
     return _primitive([c.numerator * (den // c.denominator) for c in row])
 
 
+def echelon(rows, field: FieldTag):
+    """Reduced row echelon form of the span of `rows` (lists of field
+    elements) as (pivot column, row) pairs in pivot order, built one row at
+    a time: a new row is reduced by the kept rows, and the kept rows by its
+    pivot.  Zero rows are dropped.  Over GF(p) each pivot is 1.  Over Q the
+    elimination is fraction free (Bareiss 1968): primitive integer rows,
+    updated as piv * row - c * prow, so each kept row is its reduced row
+    times a nonzero integer, with the same zero pattern and the same ratios
+    to its pivot as in Gauss-Jordan over `Fraction`.
+    """
+    # The field branches stay inline: a helper call per reduction made the
+    # oracle's row-space keys about a fifth slower.
+    p = field.p
+    basis = []
+    for row in map(_integer_row, rows) if p is None else rows:
+        for col, prow in basis:
+            c = row[col]
+            if c:
+                if p is None:
+                    piv = prow[col]
+                    row = _primitive([piv * a - c * b for a, b in zip(row, prow)])
+                else:
+                    row = [(a - c * b) % p for a, b in zip(row, prow)]
+        col = next((i for i, c in enumerate(row) if c), None)
+        if col is None:
+            continue
+        piv = row[col]
+        if p is not None and piv != 1:
+            inv = pow(piv, -1, p)
+            row = [c * inv % p for c in row]
+        for k, (qcol, qrow) in enumerate(basis):
+            c = qrow[col]
+            if c:
+                if p is None:
+                    qrow = _primitive([piv * a - c * b for a, b in zip(qrow, row)])
+                else:
+                    qrow = [(a - c * b) % p for a, b in zip(qrow, row)]
+                basis[k] = (qcol, qrow)
+        basis.append((col, row))
+    basis.sort()  # the pivot columns differ, so no two rows are compared
+    return basis
+
+
 def nullspace(rows, ncols: int, field: FieldTag):
     """Basis of the right nullspace of a constant matrix (list of rows).
 
-    One vector per non-pivot column of the reduced row echelon form, as
-    Gauss-Jordan elimination reads it off.  The elimination is fraction
-    free: rows are integers (kept primitive over Q, reduced mod p over
-    GF(p)), updated as piv * row_i - c * row_k, and the pivot rows are
-    normalised only when the basis is read.  Scaling a row by a nonzero
-    constant keeps its zero pattern and the reduced form, so pivots and
-    basis are those of plain Gauss-Jordan, in value and type.
+    One vector per non-pivot column of `echelon`'s form, whose rows are
+    normalised only here, so the basis is that of plain Gauss-Jordan, in
+    value and type.
     """
     f = field
-    if f.is_rational:
-        mat = [_integer_row(r) for r in rows]
-        normalise = _primitive
-    else:
-        p = f.p
-
-        def normalise(row):
-            return [a % p for a in row]
-
-        mat = [normalise(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        sel = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        prow = mat[rank]
-        piv = prow[col]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = normalise([piv * a - c * b for a, b in zip(mat[i], prow)])
-        pivots.append(col)
-        rank += 1
-    invs = [f.inv(prow[pcol]) for prow, pcol in zip(mat, pivots)]
+    pivots = {pcol: (prow, f.inv(prow[pcol])) for pcol, prow in echelon(rows, f)}
     basis = []
-    pivot_set = set(pivots)
     for free in range(ncols):
-        if free in pivot_set:
+        if free in pivots:
             continue
         v = [f.zero] * ncols
         v[free] = f.one
-        for prow, pcol, inv in zip(mat, pivots, invs):
+        for pcol, (prow, inv) in pivots.items():
             v[pcol] = f.neg(f.mul(prow[free], inv))
         basis.append(v)
     return basis
 
 
 def matrix_rank_constant(rows, field: FieldTag) -> int:
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    return ncols - len(nullspace(rows, ncols, field))
+    return len(echelon(rows, field))
 
 
 # --- block-Toeplitz systems: multiplicities at infinity, minimal bases ------
@@ -337,14 +353,6 @@ def infinite_multiplicities(P: PolyMatrix, rank: int | None = None) -> tuple:
     return tuple(mults)
 
 
-def _flat_to_polyvec(flat, n: int, field: FieldTag):
-    nblocks = len(flat) // n
-    vec = []
-    for col in range(n):
-        vec.append(Poly.make([flat[b * n + col] for b in range(nblocks)], field))
-    return tuple(vec)
-
-
 def right_minimal_basis(P: PolyMatrix, rank: int | None = None):
     """Minimal basis of the right nullspace.
 
@@ -373,7 +381,7 @@ def right_minimal_basis(P: PolyMatrix, rank: int | None = None):
         for w in nullspace(_convolution_rows(P, delta, d), block + n, f):
             j = max(i for i, c in enumerate(w) if c) - block
             if j >= 0 and j not in chosen:
-                chosen[j] = (delta, _flat_to_polyvec(w, n, f))
+                chosen[j] = (delta, tuple(Poly.make(w[col::n], f) for col in range(n)))
         if len(chosen) == want:
             break
     if len(chosen) != want:
@@ -408,8 +416,6 @@ def eigenstructure(P: PolyMatrix) -> Eigenstructure:
         hom_factors=hom,
         col_indices=col,
         row_indices=row,
-        nrows=P.rows,
-        ncols=P.cols,
     )
     if not es.index_sum_holds():
         raise InternalError("index sum identity violated")
@@ -469,6 +475,4 @@ def companion_transform(es: Eigenstructure, field: FieldTag) -> Eigenstructure:
         hom_factors=units + es.hom_factors,
         col_indices=tuple(c + d - 1 for c in es.col_indices),
         row_indices=es.row_indices,
-        nrows=es.nrows + (d - 1) * n,
-        ncols=d * n,
     )

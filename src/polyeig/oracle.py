@@ -12,13 +12,15 @@ finite structure (G is unimodular), the same infinite structure
 mapped by G^-T, so the same row minimal indices.  Two matrices of one shape
 whose coefficient stacks [M_0 M_1 ... M_d] have the same row space differ by
 such a G.  The eigenstructure is therefore computed once per shape, degree
-bound and reduced row echelon form of that stack.  The memo holding it, the
-target list and the checker verdicts lives for one `run_grid` call (or one
-direct `achieved_set` / `check_instance` call) and no longer, and it uses
-the checkers bound in `CHECKERS` when the call starts.  With ``jobs > 1``
-the matrices are cut into at most that many contiguous chunks, each worker
-keeps its own memo, and the results are joined in grid order; no more
-workers start than there are chunks or cores.
+bound and reduced row echelon form of that stack.  The form comes from
+`matrix.echelon`, the kernel that also gives `eigenstructure` its nullspaces
+and ranks, and [P; W] is built only for a form not seen before.  The memo
+holding it, the target list and the checker verdicts live for one `run_grid`
+call (or one direct `achieved_set` / `check_instance` call) and no longer,
+and it uses the checkers bound in `CHECKERS` when the call starts.  With
+``jobs > 1`` the matrices are cut into at most that many contiguous chunks,
+each worker keeps its own memo, and the results are joined in grid order;
+no more workers start than there are chunks or cores.
 """
 
 from __future__ import annotations
@@ -30,8 +32,8 @@ from operator import attrgetter
 
 from .feasibility import CHECKERS, PRESCRIBES, CompletionTarget
 from .fields import FieldTag, is_digits, parse_gf
-from .matrix import PolyMatrix, degree_of, eigenstructure, stack_rows
-from .realize import BudgetExceededError, all_completion_rows, enumerate_targets, search_space_size
+from .matrix import PolyMatrix, degree_of, echelon, eigenstructure, stack_rows
+from .realize import BudgetExceededError, all_completion_rows, all_matrices, enumerate_targets, search_space_size
 
 THEOREMS = tuple(CHECKERS)
 
@@ -75,13 +77,6 @@ class GridSpec:
         return GridSpec(field, vals["m"], vals["n"], vals["z"], vals["d"])
 
 
-def all_matrices(m: int, n: int, d: int, field: FieldTag):
-    """All m x n matrices over GF(p) of degree exactly d, lexicographic."""
-    for P in all_completion_rows(field, m, n, d):
-        if max(e.degree for row in P.entries for e in row) == d:
-            yield P
-
-
 def _coefficient_rows(M: PolyMatrix, dmax: int):
     """The rows of the coefficient stack [M_0 M_1 ... M_dmax], columns
     ordered by (entry, power): a fixed permutation, so equal row spaces
@@ -90,41 +85,16 @@ def _coefficient_rows(M: PolyMatrix, dmax: int):
     return [[c for e in row for c in (e.coeffs + pad)[: dmax + 1]] for row in M.entries]
 
 
-def _rref(rows, p: int) -> tuple:
-    """Reduced row echelon form over GF(p) of the span of the rows, built
-    one row at a time; zero rows are dropped."""
-    basis = []  # (pivot column, row), reduced against each other
-    for row in rows:
-        for col, prow in basis:
-            c = row[col]
-            if c:
-                row = [(a - c * b) % p for a, b in zip(row, prow)]
-        col = next((i for i, c in enumerate(row) if c), None)
-        if col is None:
-            continue
-        if row[col] != 1:
-            inv = pow(row[col], -1, p)
-            row = [c * inv % p for c in row]
-        for k, (qcol, qrow) in enumerate(basis):
-            c = qrow[col]
-            if c:
-                basis[k] = (qcol, [(a - c * b) % p for a, b in zip(qrow, row)])
-        basis.append((col, row))
-    basis.sort(key=lambda cr: cr[0])
-    return tuple(tuple(row) for _, row in basis)
-
-
-def _stack_key(M: PolyMatrix, dmax: int, coeff_rows):
-    """Shape, degree bound and row space of the coefficient stack, which
-    `coeff_rows` span: matrices with one key share their eigenstructure."""
-    return (M.rows, M.cols, dmax, _rref(coeff_rows, M.field.p))
+def _row_space(rows, field: FieldTag) -> tuple:
+    """The reduced row echelon form of the span of `rows`, as a key."""
+    return tuple(tuple(row) for _, row in echelon(rows, field))
 
 
 class _GridContext:
-    """Memo for the matrices of one grid: eigenstructures by `_stack_key`,
-    target lists by shape, checker verdicts by projected target.  The
-    checkers are a copy of `checkers` (default `CHECKERS`) taken when the
-    context is made."""
+    """Memo for the matrices of one grid: eigenstructures by shape, degree
+    bound and row space of the coefficient stack, target lists by shape,
+    checker verdicts by projected target.  The checkers are a copy of
+    `checkers` (default `CHECKERS`) taken when the context is made."""
 
     def __init__(self, checkers=None):
         self.checkers = dict(CHECKERS if checkers is None else checkers)
@@ -132,10 +102,11 @@ class _GridContext:
         self.targets = {}
         self.verdicts = {}
 
-    def eigenstructure(self, key, M: PolyMatrix):
+    def eigenstructure(self, key, P: PolyMatrix, W: PolyMatrix | None = None):
+        """The eigenstructure under `key`; [P; W] is built only for a new key."""
         es = self.eigen.get(key)
         if es is None:
-            es = self.eigen[key] = eigenstructure(M)
+            es = self.eigen[key] = eigenstructure(P if W is None else stack_rows(P, W))
         return es
 
     def target_list(self, m: int, n: int, z: int, d: int, field: FieldTag):
@@ -158,13 +129,13 @@ def achieved_set(P: PolyMatrix, z: int, dmax: int, *, _ctx: _GridContext | None 
     `_ctx` is the memo `run_grid` shares across a grid; without it a fresh
     one is made."""
     ctx = _ctx if _ctx is not None else _GridContext()
-    p_rows = list(_rref(_coefficient_rows(P, dmax), P.field.p))
+    f = P.field
+    p_rows = list(_row_space(_coefficient_rows(P, dmax), f))
     found = {}
-    for W in all_completion_rows(P.field, z, P.cols, dmax):
-        M = stack_rows(P, W)
-        key = _stack_key(M, dmax, p_rows + _coefficient_rows(W, dmax))
+    for W in all_completion_rows(f, z, P.cols, dmax):
+        key = (P.rows + z, P.cols, dmax, _row_space(p_rows + _coefficient_rows(W, dmax), f))
         if key not in found:
-            found[key] = ctx.eigenstructure(key, M)
+            found[key] = ctx.eigenstructure(key, P, W)
     return set(found.values())
 
 
@@ -189,7 +160,7 @@ def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridConte
     """
     ctx = _ctx if _ctx is not None else _GridContext()
     d = degree_of(P)
-    pinv = ctx.eigenstructure(_stack_key(P, d, _coefficient_rows(P, d)), P)
+    pinv = ctx.eigenstructure((P.rows, P.cols, d, _row_space(_coefficient_rows(P, d), P.field)), P)
     achieved = achieved_set(P, z, d, _ctx=ctx)
     r, n = pinv.rank, P.cols
     targets = ctx.target_list(P.rows, n, z, d, P.field)

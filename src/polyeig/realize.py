@@ -180,6 +180,13 @@ def all_completion_rows(field: FieldTag, z: int, n: int, dmax: int):
         yield PolyMatrix(tuple(flat[i * n : (i + 1) * n] for i in range(z)), field)
 
 
+def all_matrices(m: int, n: int, d: int, field: FieldTag):
+    """All m x n matrices over GF(p) of degree exactly d, lexicographic."""
+    for P in all_completion_rows(field, m, n, d):
+        if max(e.degree for row in P.entries for e in row) == d:
+            yield P
+
+
 def search_space_size(field: FieldTag, z: int, n: int, dmax: int) -> int:
     return field.p ** (z * n * (dmax + 1))
 
@@ -193,8 +200,8 @@ def search_realization(target: Eigenstructure, field: FieldTag, budget: int):
     size = search_space_size(field, m, n, d)
     if size > budget:
         raise BudgetExceededError(size, budget)
-    for P in all_completion_rows(field, m, n, d):
-        if not P.is_zero and degree_of(P) == d and eigenstructure(P) == target:
+    for P in all_matrices(m, n, d, field):
+        if eigenstructure(P) == target:
             return P
     return None
 
@@ -293,6 +300,4 @@ def enumerate_targets(
                                 hom_factors=chain,
                                 col_indices=cols,
                                 row_indices=rows_idx,
-                                nrows=m + z,
-                                ncols=n,
                             )

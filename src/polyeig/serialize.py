@@ -125,16 +125,13 @@ def parse_eigenstructure(doc, field: FieldTag) -> Eigenstructure:
     hom = tuple(_parse_hom(h, field) for h in _list(doc["hom_factors"], "hom_factors"))
     col = tuple(_int(v, "col_indices entry") for v in _list(doc["col_indices"], "col_indices"))
     row = tuple(_int(v, "row_indices entry") for v in _list(doc["row_indices"], "row_indices"))
-    rank = _int(doc["rank"], "rank")
     try:
         return Eigenstructure(
             degree=_int(doc["degree"], "degree"),
-            rank=rank,
+            rank=_int(doc["rank"], "rank"),
             hom_factors=hom,
             col_indices=col,
             row_indices=row,
-            nrows=rank + len(row),
-            ncols=rank + len(col),
         )
     except ValueError as exc:
         raise FormatError(str(exc)) from exc

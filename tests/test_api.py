@@ -3,12 +3,14 @@ import importlib
 import polyeig
 
 # Names that have left the API, by the module that held them: the sentinel
-# chain algebra, the lcm helpers and the wrappers that no library path ran.
+# chain algebra, the lcm helpers, the wrappers that no library path ran and
+# the oracle's own row echelon form, now `matrix.echelon`.
 REMOVED = {
     "homog": ("HOMOG_ONE", "HOMOG_ZERO", "chain_at", "homog_lcm"),
     "poly": ("poly_lcm",),
     "feasibility": ("build_gaps_row_form", "build_gaps_col_form", "_check_gap_shape"),
     "matrix": ("is_column_reduced", "apply_matrix", "_coeff_block", "reversal"),
+    "oracle": ("_rref", "_stack_key"),
     "realize": ("SearchBudget", "search_completion"),
     "sequences": ("union_desc",),
 }
@@ -27,3 +29,6 @@ def test_removed_names_are_gone():
             assert not hasattr(polyeig, name), name
             assert not hasattr(mod, name), f"{module}.{name}"
     assert not hasattr(polyeig.HomogPoly, "is_unit")
+    # one exact-degree enumeration, which the oracle imports from realize
+    oracle, realize = (importlib.import_module(f"polyeig.{m}") for m in ("oracle", "realize"))
+    assert oracle.all_matrices is realize.all_matrices

@@ -278,6 +278,12 @@ def test_field_characteristic_is_strict(tmp_path, capsys):
     for name in ("gf1_1", "gf 3", "gf+3", "GF\u0663"):
         assert main(["realize", "--target", t, "--field", name]) == 2, name
         assert "unknown field" in capsys.readouterr().err
+    # above the bound of the exact primality test: refused, not stalled
+    huge = 2**89 - 1
+    mp = write(tmp_path, "m.json", {**MATRIX_S, "field": {"GF": huge}})
+    assert main(["eig", mp]) == 2
+    assert main(["realize", "--target", t, "--field", f"gf{huge}"]) == 2
+    assert capsys.readouterr().err.count("not supported") == 2
 
 
 @pytest.mark.parametrize("raw", ["1_000", "\u0663", "-5", "+3", " 7", "1.0", ""])

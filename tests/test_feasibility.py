@@ -40,10 +40,6 @@ def M(rows, field=QQ):
     return PolyMatrix.make(rows, field)
 
 
-def ES(degree, rank, hom, col, row):
-    return Eigenstructure(degree, rank, hom, col, row, rank + len(row), rank + len(col))
-
-
 # --- gap builders ------------------------------------------------------------
 
 
@@ -88,15 +84,15 @@ def test_col_gaps_unit_chain_collapse():
 
 def test_existence():
     assert check_existence(eigenstructure(M([[S]]))).feasible
-    rep = check_existence(ES(1, 1, (H([1], 1),), (), ()))
+    rep = check_existence(Eigenstructure(1, 1, (H([1], 1),), (), ()))
     assert rep.violations == ("gamma1-at-infinity",)
-    rep = check_existence(ES(0, 1, (H(S),), (), ()))
+    rep = check_existence(Eigenstructure(0, 1, (H(S),), (), ()))
     assert rep.violations == ("index-sum",)
 
 
 def test_existence_rank_zero_rejected():
     with pytest.raises(InvalidTargetError):
-        check_existence(Eigenstructure(1, 0, (), (0,), (0,), 1, 1))
+        check_existence(Eigenstructure(1, 0, (), (0,), (0,)))
 
 
 # --- full prescription --------------------------------------------------------
@@ -207,7 +203,7 @@ def test_infinite_only_examples():
 
 def test_finite_and_infinite_only_on_rank_zero():
     # the checkers read no factor of a rank-0 P
-    pin = ES(1, 0, (), (0, 0), (0,))
+    pin = Eigenstructure(1, 0, (), (0, 0), (0,))
     one = Poly.make([1], GF(2))
     assert check_finite_only(pin, CompletionTarget(z=1, rank=1, finite_factors=(one,))).feasible
     assert check_infinite_only(pin, CompletionTarget(z=1, rank=1, inf_mults=(0,))).feasible
@@ -248,11 +244,11 @@ def test_hom_only_prefix_cuts_at_x_equal_z():
     rep = check_hom_only(pin, CompletionTarget(z=1, rank=2, hom_factors=(s, s)))
     assert rep.violations == ("interlacing",) and rep.details == {"x": 1, "ell": 1}
     # interlacing chains over Q, so the cuts decide
-    pin = ES(2, 2, (H(S), H(S, 1)), (3, 2, 1), (2,))
+    pin = Eigenstructure(2, 2, (H(S), H(S, 1)), (3, 2, 1), (2,))
     gamma = (H(S), H(S, 1), H([0, 0, 1], 2), H([0, 0, 1], 2))
     rep = check_hom_only(pin, CompletionTarget(z=2, rank=4, hom_factors=gamma))
     assert rep.violations == ("c-sum-ell", "c-sum-tail") and rep.details == {"x": 2, "ell": 1}
-    pin = ES(1, 2, (H(S, 1), H(S, 1)), (3, 3, 1, 0, 0), (1,))
+    pin = Eigenstructure(1, 2, (H(S, 1), H(S, 1)), (3, 3, 1, 0, 0), (1,))
     gamma = (H(S), H(S), H([0, 0, 1]), H([0, 0, 1], 1), H([0, 0, 1], 2))
     rep = check_hom_only(pin, CompletionTarget(z=3, rank=5, hom_factors=gamma))
     assert rep.violations == ("c-sum-tail",) and rep.details == {"x": 3, "ell": 1}
@@ -509,3 +505,18 @@ def test_field_mismatch_is_a_domain_error():
             else:
                 with pytest.raises(FieldMismatchError):
                     checker(pin, target)
+
+
+def test_target_parts_are_tuples():
+    one = HomogPoly(Poly.make([1], QQ), 0)
+    target = CompletionTarget(z=1, rank=1, hom_factors=(one,), col_indices=(0,))
+    assert hash(target) == hash(CompletionTarget(z=1, rank=1, hom_factors=(one,), col_indices=(0,)))
+    for bad in (
+        dict(hom_factors=[one]),
+        dict(finite_factors=[one.alpha]),
+        dict(inf_mults=[0]),
+        dict(col_indices=[0]),
+        dict(row_indices=[]),
+    ):
+        with pytest.raises(InvalidTargetError, match="must be a tuple"):
+            CompletionTarget(z=1, rank=1, **bad)

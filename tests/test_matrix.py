@@ -28,7 +28,7 @@ from polyeig import (
     smith_form,
     stack_rows,
 )
-from polyeig.matrix import matrix_rank_constant, nullspace
+from polyeig.matrix import echelon, matrix_rank_constant, nullspace
 
 from conftest import FIELDS, random_matrix
 
@@ -234,32 +234,41 @@ def test_make_validation():
 
 
 def test_eigenstructure_integer_fields_are_strict():
-    good = dict(degree=1, rank=0, hom_factors=(), col_indices=(1,), row_indices=(), nrows=0, ncols=1)
+    good = dict(degree=1, rank=0, hom_factors=(), col_indices=(1,), row_indices=())
     Eigenstructure(**good)
     for bad in (
         dict(col_indices=(1.5,)),
         dict(col_indices=(True,)),
-        dict(row_indices=(1.0,), nrows=1),
+        dict(row_indices=(1.0,)),
         dict(degree=1.0),
-        dict(ncols=True),
     ):
         with pytest.raises(ValueError, match="must be integers"):
             Eigenstructure(**{**good, **bad})
+
+
+def test_eigenstructure_parts_are_tuples_and_shape_is_derived():
+    one = HomogPoly(Poly.make([1], QQ), 0)
+    es = Eigenstructure(1, 1, (one,), (1, 0), ())
+    assert (es.nrows, es.ncols) == (1, 3)
+    assert hash(es) == hash(Eigenstructure(1, 1, (one,), (1, 0), ()))
+    for bad in (dict(hom_factors=[one]), dict(col_indices=[1, 0]), dict(row_indices=[])):
+        with pytest.raises(ValueError, match="must be a tuple"):
+            Eigenstructure(**{**dict(degree=1, rank=1, hom_factors=(one,), col_indices=(1, 0), row_indices=()), **bad})
 
 
 def test_eigenstructure_chain_entries_are_homog():
     one = HomogPoly(Poly.make([1], QQ), 0)
     for chain in ((1,), ("x",), (one, 1), ("x", one)):
         with pytest.raises(ValueError, match="must be HomogPoly"):
-            Eigenstructure(1, len(chain), chain, (), (), len(chain), len(chain))
+            Eigenstructure(1, len(chain), chain, (), ())
 
 
 # --- nullspace against the field-generic Gauss-Jordan reference ---------------
 
 
-def _gauss_jordan_nullspace(rows, ncols, field):
-    """Nullspace read off the reduced row echelon form, computed by
-    Gauss-Jordan elimination in the field's own arithmetic."""
+def _gauss_jordan_rref(rows, ncols, field):
+    """Nonzero rows and pivot columns of the reduced row echelon form,
+    computed by Gauss-Jordan elimination in the field's own arithmetic."""
     f = field
     mat = [list(r) for r in rows]
     pivots = []
@@ -277,13 +286,20 @@ def _gauss_jordan_nullspace(rows, ncols, field):
                 mat[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(mat[i], mat[rank])]
         pivots.append(col)
         rank += 1
+    return mat[:rank], pivots
+
+
+def _gauss_jordan_nullspace(rows, ncols, field):
+    """Nullspace read off the reference reduced row echelon form."""
+    f = field
+    mat, pivots = _gauss_jordan_rref(rows, ncols, field)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
         v = [f.zero] * ncols
         v[free] = f.one
-        for prow, pcol in zip(mat[:rank], pivots):
+        for prow, pcol in zip(mat, pivots):
             v[pcol] = f.neg(prow[free])
         basis.append(v)
     return basis
@@ -321,6 +337,35 @@ def test_nullspace_matches_gauss_jordan(case):
     want = _gauss_jordan_nullspace(rows, ncols, field)
     assert got == want
     assert [[type(c) for c in v] for v in got] == [[type(c) for c in v] for v in want]
+
+
+@st.composite
+def invertible_matrices(draw, k, field):
+    """A k x k matrix L U with L unit lower and U upper triangular with a
+    nonzero diagonal, its rows then permuted: invertible by construction."""
+    scalar = st.integers(0, field.p - 1)
+    nonzero = st.integers(1, field.p - 1)
+    L = [[field.one if i == j else draw(scalar) if j < i else field.zero for j in range(k)] for i in range(k)]
+    U = [[draw(nonzero) if i == j else draw(scalar) if j > i else field.zero for j in range(k)] for i in range(k)]
+    G = [[sum(L[i][t] * U[t][j] for t in range(k)) % field.p for j in range(k)] for i in range(k)]
+    return draw(st.permutations(G))
+
+
+@settings(max_examples=400, deadline=None)
+@given(constant_matrices(), st.data())
+def test_echelon_is_the_reduced_form_of_the_row_space(case, data):
+    rows, ncols, field = case
+    f = field
+    form = echelon(rows, f)
+    mat, pivots = _gauss_jordan_rref(rows, ncols, f)
+    assert [col for col, _ in form] == pivots
+    assert [[f.mul(c, f.inv(row[col])) for c in row] for col, row in form] == mat
+    if not f.is_rational:
+        # a constant invertible G keeps the row space, and so the form: the
+        # oracle keys its eigenstructure memo on this
+        G = data.draw(invertible_matrices(len(rows), f))
+        mixed = [[sum(g * r[j] for g, r in zip(grow, rows)) % f.p for j in range(ncols)] for grow in G]
+        assert echelon(mixed, f) == form
 
 
 @st.composite

@@ -127,3 +127,31 @@ def test_str_and_s():
     assert str(poly_s(QQ)) == "s"
     assert str(P([1, 0, 2])) == "1 + 2*s^2"
     assert str(poly_zero(QQ)) == "0"
+
+
+def _trial_division(p):
+    return p >= 2 and all(p % f for f in range(2, int(p**0.5) + 1))
+
+
+def test_primality_matches_trial_division():
+    from polyeig.fields import _is_prime
+
+    assert [p for p in range(10**4) if _is_prime(p)] == [p for p in range(10**4) if _trial_division(p)]
+    # strong pseudoprimes to base 2, to bases 2 to 7 and to bases 2 to 37, and
+    # a Carmichael number with no prime factor below 43
+    for n in (2047, 3215031751, 318665857834031151167461, 211 * 421 * 631):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="must be prime"):
+            GF(n)
+
+
+def test_large_characteristic_is_fast_and_bounded():
+    import time
+
+    from polyeig.fields import MAX_CHARACTERISTIC
+
+    start = time.perf_counter()
+    assert GF(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match="not supported"):
+        GF(MAX_CHARACTERISTIC + 2)

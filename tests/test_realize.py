@@ -26,10 +26,6 @@ def H(coeffs, e=0, field=QQ):
     return HomogPoly(Poly.make(coeffs, field), e)
 
 
-def ES(degree, rank, hom, col, row):
-    return Eigenstructure(degree, rank, hom, col, row, rank + len(row), rank + len(col))
-
-
 def grid(P):
     return [[str(e) for e in row] for row in P.entries]
 
@@ -70,20 +66,20 @@ def test_block_structures():
 
 
 def test_realize_examples():
-    t = ES(1, 2, (H([1]), H(S, 1)), (), ())
+    t = Eigenstructure(1, 2, (H([1]), H(S, 1)), (), ())
     assert grid(realize_low_degree(t, QQ)) == [["s", "0"], ["0", "1"]]
-    t2 = ES(1, 2, (H([1]), H([1], 2)), (), ())
+    t2 = Eigenstructure(1, 2, (H([1]), H([1], 2)), (), ())
     assert grid(realize_low_degree(t2, QQ)) == [["1", "s"], ["0", "1"]]
-    t3 = ES(0, 1, (H([1]),), (0, 0), (0,))
+    t3 = Eigenstructure(0, 1, (H([1]),), (0, 0), (0,))
     P = realize_low_degree(t3, QQ)
     assert eigenstructure(P) == t3
 
 
 def test_realize_rejects():
     with pytest.raises(ValueError):
-        realize_low_degree(ES(1, 1, (H([1], 1),), (), ()), QQ)  # infeasible
+        realize_low_degree(Eigenstructure(1, 1, (H([1], 1),), (), ()), QQ)  # infeasible
     with pytest.raises(ValueError):
-        realize_low_degree(ES(2, 1, (H([0, 0, 1]),), (), ()), QQ)  # degree 2
+        realize_low_degree(Eigenstructure(2, 1, (H([0, 0, 1]),), (), ()), QQ)  # degree 2
 
 
 def test_realize_round_trip_gf2():
@@ -100,18 +96,18 @@ def test_search_examples():
     # order, with each eigenstructure
     F = GF(2)
     s_h = HomogPoly(Poly.make(S, F), 0)
-    P = search_realization(ES(1, 1, (s_h,), (), (0,)), F, 10**6)
+    P = search_realization(Eigenstructure(1, 1, (s_h,), (), (0,)), F, 10**6)
     assert grid(P) == [["0"], ["s"]]
-    P2 = search_realization(ES(1, 1, (homog_one(F),), (), (1,)), F, 10**6)
+    P2 = search_realization(Eigenstructure(1, 1, (homog_one(F),), (), (1,)), F, 10**6)
     assert grid(P2) == [["s"], ["1"]]
     # a degree-2 factor breaks the index sum of a degree-1 matrix
     s2 = HomogPoly(Poly.make([0, 0, 1], F), 0)
-    assert search_realization(ES(1, 1, (s2,), (), (0,)), F, 10**6) is None
+    assert search_realization(Eigenstructure(1, 1, (s2,), (), (0,)), F, 10**6) is None
 
 
 def test_search_budget():
     F = GF(2)
-    target = ES(1, 1, (homog_one(F),), (), (1,))
+    target = Eigenstructure(1, 1, (homog_one(F),), (), (1,))
     with pytest.raises(BudgetExceededError):
         search_realization(target, F, 3)
     with pytest.raises(ValueError):
