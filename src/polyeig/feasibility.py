@@ -5,16 +5,15 @@ Given the eigenstructure of an m x n polynomial matrix P of degree d and a
 feasibility and reports exactly which conditions fail.  All arithmetic is
 exact; conditions are integer inequalities between degree sums of
 homogeneous lcm chains plus (generalized) majorization tests on index
-sequences.  Each checker first turns both homogeneous chains into integer
-exponent vectors over one coprime base, and evaluates every lcm degree,
-divisibility and gap sequence on those integers; no lcm of polynomials is
-ever formed.
+sequences.  Each checker first tabulates deg lcm(phi_k, gamma_i) between
+every factor of P's chain and every factor of the target's, one gcd per
+pair of finite parts, and evaluates every lcm degree, divisibility and gap
+sequence on that table; no lcm of polynomials is ever formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import le
 
 from .fields import same_field
 from .homog import HomogPoly, ensure_chain, homog_deg
@@ -121,127 +120,94 @@ class FeasibilityReport:
         return not self.violations
 
 
-# --- chains as exponent vectors ---------------------------------------------
+# --- chains as one lcm-degree table -----------------------------------------
 #
-# Every condition below compares the degree of an lcm of two homogeneous
-# factors, or tests divisibility between them.  Over one pairwise coprime base
-# b_1, ..., b_k of the finite parts of both chains, a factor (alpha, t^e) is the
-# integer vector (e, deg b_1 * v_b1(alpha), ..., deg b_k * v_bk(alpha)).  Its
-# degree is the sum of the coordinates, the degree of an lcm is the sum of the
-# coordinatewise maxima, and divisibility is <= in every coordinate: per prime,
-# the interlacing inequalities of Thompson (1979) and Sa (1979).  A position
-# below a chain is the unit, the zero vector.
+# Every condition below reads the degree of an lcm of a factor phi_k of P's
+# chain and a factor gamma_i of the target's, or tests divisibility between
+# them, as in the interlacing of Thompson (1979) and Sa (1979).  For monic
+# factors a | b exactly when deg lcm(a, b) = deg b, so each checker call
+# builds one table t = (L, deg phi, deg gamma) with
+# L[k][i] = deg lcm(phi_k, gamma_i), 0-based, and every condition is integer
+# arithmetic on it.  A position below P's chain is the unit, whose lcm with
+# gamma_i has the degree of gamma_i.
 
 
-def _coprime_base(parts):
-    """Factor refinement (Bach, Driscoll & Shallit 1993) of distinct monic
-    nonconstant polynomials into a pairwise coprime base, by gcds and exact
-    quotients only.  Returns the base and, for each part, its exponents over
-    the base as a dict."""
-    exps = {p: {p: 1} for p in parts}
-    base, todo = [], list(parts)
-    while todo:
-        a = todo.pop()
-        if a in base or a in todo:
-            continue
-        for b in base:
-            g = poly_gcd(a, b)
-            if g.degree > 0:
-                break
-        else:
-            base.append(a)
-            continue
-        # a = (a/g) g and b = g (b/g), a step that lowers the total degree;
-        # a cofactor of g's degree is the unit and drops out
-        base.remove(b)
-        split = (a // g if a.degree > g.degree else None, g, b // g if b.degree > g.degree else None)
-        for ex in exps.values():
-            ka, kb = ex.pop(a, 0), ex.pop(b, 0)
-            for q, k in zip(split, (ka, ka + kb, kb)):
-                if k and q is not None:
-                    ex[q] = ex.get(q, 0) + k
-        todo.extend(q for q in split if q is not None)
-    return base, exps
-
-
-def _vectors(phi, gamma):
-    """The HomogPoly chains phi and gamma as exponent vectors over one
-    coprime base of their finite parts."""
+def _lcm_table(phi, gamma):
+    """The lcm-degree table of the HomogPoly chains phi and gamma:
+    deg lcm((alpha, t^e), (beta, t^f)) = max(e, f) + deg alpha + deg beta
+    - deg gcd(alpha, beta), with one gcd per distinct pair of nonconstant
+    finite parts."""
     fields = [h.field for h in (*gamma, *phi)]
     if fields:
         same_field(*fields)
-    # one field, so the coefficients identify a finite part
-    parts = {h.alpha.coeffs: h.alpha for h in (*phi, *gamma) if h.alpha.degree > 0}
-    base, exps = _coprime_base(list(parts.values()))
-    finite = {p.coeffs: tuple(b.degree * ex.get(b, 0) for b in base) for p, ex in exps.items()}
-    unit = (0,) * len(base)
+    common = {}  # one field, so the coefficients identify a finite part
 
-    def vector(h):
-        v = (h.e, *finite.get(h.alpha.coeffs, unit))
-        if sum(v) != homog_deg(h):
-            raise InternalError(f"exponent vector {v} does not add up to the degree of {h}")
-        return v
+    def gcd_degree(a, b):
+        if a.degree < 1 or b.degree < 1:
+            return 0
+        key = (a.coeffs, b.coeffs)
+        if key not in common:
+            common[key] = a.degree if key[0] == key[1] else poly_gcd(a, b).degree
+        return common[key]
 
-    return tuple(map(vector, phi)), tuple(map(vector, gamma))
-
-
-def _dls(phi, gamma, offset: int, upper: int) -> int:
-    """Sum over i = 1..upper of the degree of lcm(phi_{i+offset}, gamma_i)
-    on exponent vectors."""
-    total = 0
-    for i in range(1, upper + 1):
-        k = i + offset
-        total += sum(map(max, phi[k - 1], gamma[i - 1])) if k >= 1 else sum(gamma[i - 1])
-    return total
+    table = tuple(
+        tuple(
+            max(h.e, g.e) + h.alpha.degree + g.alpha.degree - gcd_degree(h.alpha, g.alpha)
+            for g in gamma
+        )
+        for h in phi
+    )
+    return table, tuple(map(homog_deg, phi)), tuple(map(homog_deg, gamma))
 
 
-def _interlaces(phi, gamma, z: int) -> bool:
-    """Condition gamma_i | phi_i | gamma_{i+z} for 1 <= i <= len(phi) on
-    exponent vectors.  A position above a chain stands for zero: every
-    factor divides it, and it divides nothing but itself."""
-    n = len(gamma)
+def _dls(t, offset: int, upper: int) -> int:
+    """Sum over i = 1..upper of the degree of lcm(phi_{i+offset}, gamma_i)."""
+    table, _, dgamma = t
+    return sum(table[i + offset][i] if i + offset >= 0 else dgamma[i] for i in range(upper))
+
+
+def _interlaces(t, z: int) -> bool:
+    """Condition gamma_i | phi_i | gamma_{i+z} for 1 <= i <= len(phi).  A
+    position above a chain stands for zero: every factor divides it, and it
+    divides nothing but itself."""
+    table, dphi, dgamma = t
+    n = len(dgamma)
     return all(
-        i < n and all(map(le, gamma[i], p)) and (i + z >= n or all(map(le, p, gamma[i + z])))
-        for i, p in enumerate(phi)
+        i < n and table[i][i] == dp and (i + z >= n or table[i][i + z] == dgamma[i + z])
+        for i, dp in enumerate(dphi)
     )
 
 
-def _row_lead(gamma, u, v) -> int:
+def _row_lead(dgamma, u, v) -> int:
     """sum v - sum u + sum deg gamma: the leading gap term and the
     degree-sum bound in the row form."""
-    return sum(v) - sum(u) + sum(map(sum, gamma))
+    return sum(v) - sum(u) + sum(dgamma)
 
 
-def _col_lead(phi, c, dd, x: int, d: int) -> int:
+def _col_lead(dphi, c, dd, x: int, d: int) -> int:
     """sum c - sum dd + sum deg phi + x d: the same in the column form."""
-    return sum(c) - sum(dd) + sum(map(sum, phi)) + x * d
+    return sum(c) - sum(dd) + sum(dphi) + x * d
 
 
-def _gaps(phi, gamma, lead: int, x: int, z: int, d: int):
-    """Gap sequences a (length x) and b (length z-x) of the exponent vector
-    chains.  The row form (through the row minimal indices u of P and v of
-    the completion) and the column form (through the column minimal indices
-    c and dd) differ only in the leading term `lead` of a_1 and b_1.  With
-    the full hypotheses of the completion theorems both are nonincreasing
-    and b is nonnegative; interlacing alone does not guarantee it (u=(1),
-    v=(0,0) with unit chains gives b=(-1))."""
-    r = len(phi)
+def _gaps(t, lead: int, x: int, z: int, d: int):
+    """Gap sequences a (length x) and b (length z-x) of the lcm-degree table
+    t.  The row form (through the row minimal indices u of P and v of the
+    completion) and the column form (through the column minimal indices c
+    and dd) differ only in the leading term `lead` of a_1 and b_1.  With the
+    full hypotheses of the completion theorems both are nonincreasing and b
+    is nonnegative; interlacing alone does not guarantee it (u=(1), v=(0,0)
+    with unit chains gives b=(-1))."""
+    r = len(t[1])
     a = []
     if x >= 1:
-        a.append(lead - _dls(phi, gamma, -x + 1, r + x - 1) - d)
+        a.append(lead - _dls(t, -x + 1, r + x - 1) - d)
         for j in range(2, x + 1):
-            a.append(
-                _dls(phi, gamma, -x + j - 1, r + x - j + 1)
-                - _dls(phi, gamma, -x + j, r + x - j)
-                - d
-            )
+            a.append(_dls(t, -x + j - 1, r + x - j + 1) - _dls(t, -x + j, r + x - j) - d)
     b = []
     if z - x >= 1:
-        b.append(lead - _dls(phi, gamma, -x - 1, r + x))
+        b.append(lead - _dls(t, -x - 1, r + x))
         for j in range(2, z - x + 1):
-            b.append(
-                _dls(phi, gamma, -x - j + 1, r + x) - _dls(phi, gamma, -x - j, r + x)
-            )
+            b.append(_dls(t, -x - j + 1, r + x) - _dls(t, -x - j, r + x))
     return tuple(a), tuple(b)
 
 
@@ -318,24 +284,24 @@ def _chain_check(pinv: Eigenstructure, target: CompletionTarget, theorem: str, c
     cols, rows = "col_indices" in parts, "row_indices" in parts
     z, dd, v = target.z, target.col_indices, target.row_indices
     u, c = pinv.row_indices, pinv.col_indices
-    phi, gamma = _vectors(pinv.hom_factors, target.hom_factors)
+    t = _lcm_table(pinv.hom_factors, target.hom_factors)
 
     violations = []
-    if not _interlaces(phi, gamma, z):
+    if not _interlaces(t, z):
         violations.append("interlacing")
     if rows and sum(1 for t in v if t > 0) < sum(1 for t in u if t > 0):
         violations.append("eta")
     if col_form:
-        lead, exact = _col_lead(phi, c, dd, x, d), x == z
+        lead, exact = _col_lead(t[1], c, dd, x, d), x == z
     else:
-        lead, exact = _row_lead(gamma, u, v), x == 0
-    a, b = _gaps(phi, gamma, lead, x, z, d)
+        lead, exact = _row_lead(t[2], u, v), x == 0
+    a, b = _gaps(t, lead, x, z, d)
     details = {"x": x, "a": a, "b": b}
     if cols and not _holds(gen_majorizes, c, dd, a):
         violations.append("col-gen-majorization")
     if rows and not _holds(gen_majorizes, v, u, b):
         violations.append("row-gen-majorization")
-    lhs = _dls(phi, gamma, -x, r + x)
+    lhs = _dls(t, -x, r + x)
     if (lhs != lead) if exact else (lhs > lead):
         violations.append("degree-sum")
     if not cols:
@@ -395,9 +361,9 @@ def construct_d(c, a):
     return dseq
 
 
-def _chain_family(name, pinv: Eigenstructure, x: int, z: int, phi, gamma, offset: int, exact=False):
-    """The conditions of the homogeneous-only theorem on the exponent vector
-    chains phi of P and gamma of the target: interlacing, then the family
+def _chain_family(name, pinv: Eigenstructure, x: int, z: int, t, offset: int, exact=False):
+    """The conditions of the homogeneous-only theorem on the lcm-degree table
+    t of P's chain and the target's: interlacing, then the family
     j = 0..x-1 offset + dls_j + sum u + prefix(c, j) + sum c[x:] <= (r + x - j) d,
     with equality at j = 0 when `exact`.  The failing j are listed in
     details["failed_j"] under the one violation `name`.  The finite- and
@@ -406,12 +372,12 @@ def _chain_family(name, pinv: Eigenstructure, x: int, z: int, phi, gamma, offset
     r, d, c = pinv.rank, pinv.degree, pinv.col_indices
     violations = []
     details = {"x": x}
-    if not _interlaces(phi, gamma, z):
+    if not _interlaces(t, z):
         violations.append("interlacing")
     base = offset + sum(pinv.row_indices) + sum(c[x:])
     failed = []
     for j in range(x):
-        lhs = _dls(phi, gamma, j - x, r + x - j) + base + prefix_sum(c, j)
+        lhs = _dls(t, j - x, r + x - j) + base + prefix_sum(c, j)
         rhs = (r + x - j) * d
         if (lhs != rhs) if exact and j == 0 else (lhs > rhs):
             failed.append(j)
@@ -425,16 +391,16 @@ def check_hom_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasibilit
     """Only the homogeneous invariant factor chain prescribed."""
     r, x, d, n, m = _validate(pinv, target, "hom")
     z, c = target.z, pinv.col_indices
-    phi, gamma = _vectors(pinv.hom_factors, target.hom_factors)
+    t = _lcm_table(pinv.hom_factors, target.hom_factors)
     if x < z or x == n - r:
-        return _chain_family("hom-only-j", pinv, x, z, phi, gamma, 0, exact=x == z == n - r)
+        return _chain_family("hom-only-j", pinv, x, z, t, 0, exact=x == z == n - r)
 
     # x == z < n - r: the prefix cuts of c against the gaps a with leading
     # term sum deg gamma, so that prefix(a, j) = sum deg gamma - dls_j - j d
     violations = []
-    if not _interlaces(phi, gamma, z):
+    if not _interlaces(t, z):
         violations.append("interlacing")
-    a, _ = _gaps(phi, gamma, sum(map(sum, gamma)), x, z, d)
+    a, _ = _gaps(t, sum(t[2]), x, z, d)
     ell, sum_ok, tail_ok = _prefix_cuts(c, a)
     if not sum_ok:
         violations.append("c-sum-ell")
@@ -448,11 +414,11 @@ def check_finite_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasibi
     conditions on the finite parts, (alpha, t^0) for P and (beta, t^0) for
     the target, with the multiplicities of infinity of P as offset."""
     r, x, d, n, m = _validate(pinv, target, "finite")
-    phi, gamma = _vectors(
+    t = _lcm_table(
         tuple(HomogPoly(a, 0) for a in pinv.alphas),
         tuple(HomogPoly(b, 0) for b in target.finite_factors),
     )
-    return _chain_family("finite-only-j", pinv, x, target.z, phi, gamma, sum(pinv.inf_mults))
+    return _chain_family("finite-only-j", pinv, x, target.z, t, sum(pinv.inf_mults))
 
 
 def check_infinite_only(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:
@@ -460,11 +426,11 @@ def check_infinite_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasi
     homogeneous-only conditions on the t-powers, (1, t^e) for P and
     (1, t^f) for the target, with the finite degrees of P as offset."""
     r, x, d, n, m = _validate(pinv, target, "infinite")
-    # a t-power alone is its own exponent vector: no finite part, no base
-    phi = tuple((e,) for e in pinv.inf_mults)
-    gamma = tuple((f,) for f in target.inf_mults)
+    # the lcm of two t-powers is the larger one: no finite part, no field
+    es, fs = pinv.inf_mults, target.inf_mults
+    t = tuple(tuple(max(e, f) for f in fs) for e in es), es, fs
     finite_degrees = sum(a.degree for a in pinv.alphas)
-    return _chain_family("infinite-only-j", pinv, x, target.z, phi, gamma, finite_degrees)
+    return _chain_family("infinite-only-j", pinv, x, target.z, t, finite_degrees)
 
 
 # Theorem name -> checker; `PRESCRIBES` above gives the parts each one reads.

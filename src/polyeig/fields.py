@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .sequences import ensure_ints
+
 
 class FieldMismatchError(ValueError):
     """Operands live over different coefficient fields."""
@@ -47,7 +49,10 @@ class FieldTag:
     p: int | None = None
 
     def __post_init__(self):
-        if self.p is not None and not _is_prime(self.p):
+        if self.p is None:
+            return
+        ensure_ints((self.p,), "characteristic")
+        if not _is_prime(self.p):
             raise ValueError(f"characteristic must be prime, got {self.p}")
 
     @property
@@ -59,9 +64,13 @@ class FieldTag:
         return "Q" if self.p is None else f"GF({self.p})"
 
     def coerce(self, value):
+        """A field element from `value`: any rational over Q, an int over
+        GF(p), never truncated (1/2, 2.7, True and "5" are refused)."""
         if self.p is None:
             return Fraction(value)
-        return int(value) % self.p
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{self.name} elements must be ints, got {value!r}")
+        return value % self.p
 
     @property
     def zero(self):

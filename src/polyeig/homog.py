@@ -3,7 +3,7 @@
 A pair (alpha, e) stands for the monic homogeneous bivariate polynomial
 t^e * t^deg(alpha) * alpha(s/t).  Divisibility of two pairs is
 componentwise: finite parts divide and the t-powers are ordered.  The
-checkers compare chains of pairs as integer exponent vectors (see
+checkers compare chains of pairs through a table of lcm degrees (see
 `feasibility`), so no lcm of pairs is formed here.
 """
 

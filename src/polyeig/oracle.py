@@ -34,6 +34,7 @@ from .feasibility import CHECKERS, PRESCRIBES, CompletionTarget
 from .fields import FieldTag, is_digits, parse_gf
 from .matrix import PolyMatrix, degree_of, echelon, eigenstructure, stack_rows
 from .realize import BudgetExceededError, all_completion_rows, all_matrices, enumerate_targets, search_space_size
+from .sequences import ensure_ints
 
 THEOREMS = tuple(CHECKERS)
 
@@ -54,9 +55,12 @@ class GridSpec:
     d: int
 
     def __post_init__(self):
+        ensure_ints((self.m, self.n, self.z, self.d), "grid sizes m, n, z and d")
         for name in ("m", "n", "z"):
             if getattr(self, name) < 1:
                 raise ValueError(f"grid needs {name} >= 1, got {getattr(self, name)}")
+        if self.d < 0:
+            raise ValueError(f"grid needs d >= 0, got {self.d}")
 
     @staticmethod
     def parse(text: str) -> "GridSpec":

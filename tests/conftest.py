@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from polyeig import GF, QQ, HomogPoly, Poly, PolyMatrix, homog_deg, poly_gcd
+from polyeig import GF, QQ, HomogPoly, Poly, PolyMatrix, homog_deg, poly_gcd, poly_zero
 
 
 @pytest.fixture
@@ -31,6 +31,11 @@ def random_matrix(rng, m, n, d, field, coeff_range=(-3, 3)):
 FIELDS = [QQ, GF(2), GF(3)]
 
 
+def product(A, B, field):
+    """The product of two matrices given as lists of rows of Poly."""
+    return [[sum((a * b for a, b in zip(row, col)), poly_zero(field)) for col in zip(*B)] for row in A]
+
+
 def ref_lcm(f, g):
     """lcm of two HomogPoly in polynomial arithmetic: the lcm of the finite
     parts with the larger t-power."""
@@ -41,7 +46,7 @@ def ref_lcm(f, g):
 def ref_dls(phi, gamma, offset, upper):
     """Sum over i = 1..upper of deg lcm(phi_{i+offset}, gamma_i) on the
     HomogPoly chains, a position below phi being the unit: the reference
-    for the checkers' lcm-degree sums on exponent vectors."""
+    for the checkers' sums over their lcm-degree table."""
     total = 0
     for i in range(1, upper + 1):
         k = i + offset

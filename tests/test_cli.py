@@ -331,3 +331,18 @@ def test_oracle_empty_grid(capsys):
         assert ">= 1" in capsys.readouterr().err
     with pytest.raises(ValueError):
         GridSpec(GF(2), 1, -1, 1, 1)
+
+
+def test_grid_spec_is_strict(capsys):
+    from polyeig import GF
+    from polyeig.oracle import GridSpec
+
+    for bad in ((1.5, 1, 1, 1), (1, 2.0, 1, 1), (1, 1, True, 1), (1, 1, 1, "1"), (1, 1, 1, False)):
+        with pytest.raises(ValueError, match="must be integers"):
+            GridSpec(GF(2), *bad)
+    with pytest.raises(ValueError, match="d >= 0"):
+        GridSpec(GF(2), 1, 1, 1, -1)
+    # a degree-0 grid is well formed; the checkers refuse constant matrices
+    assert GridSpec(GF(2), 1, 1, 1, 0).d == 0
+    assert main(["oracle", "gf2 m=1 n=1 z=1 d=0"]) == 3
+    assert "degree" in capsys.readouterr().err

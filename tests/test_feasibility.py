@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from polyeig import (
     GF,
@@ -21,13 +21,16 @@ from polyeig import (
     check_hom_plus_rows,
     check_infinite_only,
     construct_d,
+    degree_of,
     eigenstructure,
     gen_majorizes,
+    stack_rows,
 )
 from polyeig import feasibility
 from polyeig.feasibility import check_full_colform
+from polyeig.oracle import target_from_eigenstructure
 
-from conftest import ref_dls, ref_lcm
+from conftest import product, ref_dls, ref_lcm
 
 S = [0, 1]
 
@@ -46,15 +49,15 @@ def M(rows, field=QQ):
 def _row_gaps(phi, gamma, u, v, x, z, d):
     """Gap sequences of HomogPoly chains through the row minimal indices u
     of P and v of the completion, as the row-form checkers build them."""
-    pv, gv = feasibility._vectors(phi, gamma)
-    return feasibility._gaps(pv, gv, feasibility._row_lead(gv, u, v), x, z, d)
+    t = feasibility._lcm_table(phi, gamma)
+    return feasibility._gaps(t, feasibility._row_lead(t[2], u, v), x, z, d)
 
 
 def _col_gaps(phi, gamma, c, dd, x, z, d):
     """The same through the column minimal indices c of P and dd of the
     completion, as the column-form checkers build them."""
-    pv, gv = feasibility._vectors(phi, gamma)
-    return feasibility._gaps(pv, gv, feasibility._col_lead(pv, c, dd, x, d), x, z, d)
+    t = feasibility._lcm_table(phi, gamma)
+    return feasibility._gaps(t, feasibility._col_lead(t[1], c, dd, x, d), x, z, d)
 
 
 def test_row_gaps_collapse_at_x0():
@@ -412,7 +415,7 @@ def test_interlacing_evaluated_once_per_chain_check(monkeypatch):
     assert checks == len(calls) == 468
 
 
-# --- chains as exponent vectors ----------------------------------------------
+# --- chains as one lcm-degree table -----------------------------------------
 
 
 def _ref_gaps(phi, gamma, lead, x, z, d):
@@ -470,13 +473,14 @@ def test_exponent_vectors_match_homog_arithmetic(pair, data):
     from polyeig import homog_deg, homog_divides
 
     field, phi, gamma, x, z = pair
-    pv, gv = feasibility._vectors(phi, gamma)
-    for f, fv in zip(phi + gamma, pv + gv):
-        assert sum(fv) == homog_deg(f)
-    for f, fv in zip(phi + gamma, pv + gv):
-        for g, gw in zip(phi + gamma, pv + gv):
-            assert sum(map(max, fv, gw)) == homog_deg(ref_lcm(f, g))
-            assert all(p <= q for p, q in zip(fv, gw)) == homog_divides(f, g)
+    table, dphi, dgamma = feasibility._lcm_table(phi, gamma)
+    assert dphi + dgamma == tuple(map(homog_deg, phi + gamma))
+    for k, f in enumerate(phi):
+        for i, g in enumerate(gamma):
+            assert table[k][i] == homog_deg(ref_lcm(f, g))
+            # monic factors: a | b exactly when deg lcm(a, b) = deg b
+            assert (table[k][i] == dgamma[i]) == homog_divides(f, g)
+            assert (table[k][i] == dphi[k]) == homog_divides(g, f)
 
     ints = st.lists(st.integers(0, 4), max_size=4).map(tuple)
     u, v, c, dd = (data.draw(ints) for _ in range(4))
@@ -485,6 +489,59 @@ def test_exponent_vectors_match_homog_arithmetic(pair, data):
     col_lead = sum(c) - sum(dd) + sum(map(homog_deg, phi)) + x * d
     assert _row_gaps(phi, gamma, u, v, x, z, d) == _ref_gaps(phi, gamma, row_lead, x, z, d)
     assert _col_gaps(phi, gamma, c, dd, x, z, d) == _ref_gaps(phi, gamma, col_lead, x, z, d)
+
+
+# --- achieved eigenstructures are feasible ----------------------------------
+
+
+@st.composite
+def _completions(draw):
+    """P (up to 3 x 4, degree 1 or 2) and W (z <= 3 rows, degree <= deg P)
+    over Q, GF(5) or GF(10007).  Either both are dense, with W at a drawn
+    sparsity, or P = A B and W = C B share a right factor B through an inner
+    size k <= min(m, n): rank deficient when k < min(m, n), and otherwise
+    with finite factors that both chains share in part."""
+    field = draw(st.sampled_from([QQ, GF(5), GF(10007)]))
+    if field.is_rational:
+        nonzero = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    else:
+        nonzero = st.integers(1, field.p - 1)
+
+    def matrix(rows, cols, d, zeros=0):
+        # each coefficient is zero with probability zeros / 4
+        def coeff():
+            return 0 if draw(st.integers(0, 3)) < zeros else draw(nonzero)
+
+        return [[Poly.make([coeff() for _ in range(d + 1)], field) for _ in range(cols)] for _ in range(rows)]
+
+    m, n, z = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    zeros = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        da = draw(st.integers(0, 1))
+        db = draw(st.integers(1 - da, 2 - da))
+        k = draw(st.integers(1, min(m, n)))
+        B = matrix(k, n, db)
+        P, W = product(matrix(m, k, da), B, field), product(matrix(z, k, da, zeros), B, field)
+    else:
+        d = draw(st.integers(1, 2))
+        P, W = matrix(m, n, d), matrix(z, n, d, zeros)
+    P, W = PolyMatrix.make(P, field), PolyMatrix.make(W, field)
+    assume(not P.is_zero and degree_of(P) >= 1)
+    assume(W.is_zero or degree_of(W) <= degree_of(P))
+    return P, W
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(_completions())
+def test_achieved_eigenstructures_are_feasible(case):
+    # the completion theorems' conditions are necessary: the eigenstructure
+    # of [P; W] passes every checker
+    P, W = case
+    pinv, achieved = eigenstructure(P), eigenstructure(stack_rows(P, W))
+    runs = [*feasibility.CHECKERS.items(), ("full", check_full_colform)]
+    for theorem, checker in runs:
+        rep = checker(pinv, target_from_eigenstructure(achieved, W.rows, theorem))
+        assert rep.feasible, (theorem, rep)
 
 
 def test_field_mismatch_is_a_domain_error():

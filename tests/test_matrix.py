@@ -30,7 +30,7 @@ from polyeig import (
 )
 from polyeig.matrix import echelon, matrix_rank_constant, nullspace
 
-from conftest import FIELDS, random_matrix
+from conftest import FIELDS, product, random_matrix
 
 S = [0, 1]
 
@@ -420,11 +420,11 @@ def _reversal_valuations(P):
 
 
 @st.composite
-def field_matrices(draw):
-    """Matrices up to 4 x 5 and degree 3 over Q (non-integer coefficients)
-    or GF(2), GF(3), GF(10007): dense ones with some zero rows, and
-    products A(s) B(s) through an inner size below min(m, n), which are
-    rank deficient."""
+def field_matrices(draw, max_m=4, max_n=5, max_d=3):
+    """Matrices up to max_m x max_n and degree max_d over Q (non-integer
+    coefficients) or GF(2), GF(3), GF(10007): dense ones with some zero
+    rows, and products A(s) B(s) through an inner size below min(m, n),
+    which are rank deficient."""
     field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(10007)]))
     if field.is_rational:
         scalar = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
@@ -438,14 +438,14 @@ def field_matrices(draw):
             for _ in range(m)
         ]
 
-    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    m, n = draw(st.integers(1, max_m)), draw(st.integers(1, max_n))
     if min(m, n) > 1 and draw(st.booleans()):
         k = draw(st.integers(1, min(m, n) - 1))
-        da = draw(st.integers(0, 3))
-        A, B = matrix(m, k, da), matrix(k, n, draw(st.integers(0, 3 - da)))
-        rows = [[sum((a * b for a, b in zip(row, col)), poly_zero(field)) for col in zip(*B)] for row in A]
+        da = draw(st.integers(0, max_d))
+        A, B = matrix(m, k, da), matrix(k, n, draw(st.integers(0, max_d - da)))
+        rows = product(A, B, field)
     else:
-        rows = matrix(m, n, draw(st.integers(0, 3)), zero_rows=True)
+        rows = matrix(m, n, draw(st.integers(0, max_d)), zero_rows=True)
     P = PolyMatrix.make(rows, field)
     assume(not P.is_zero)
     return P
@@ -455,6 +455,53 @@ def field_matrices(draw):
 @given(field_matrices())
 def test_infinite_multiplicities_match_reversal(P):
     assert infinite_multiplicities(P) == _reversal_valuations(P)
+
+
+# --- invariance under equivalence ---------------------------------------------
+
+
+@st.composite
+def _equivalent(draw, deg):
+    """(P, U P V) for P up to 3 x 3 of degree <= 2 and U, V unimodular with
+    entries of degree <= deg: each is L R, L lower and R upper triangular
+    with nonzero constants on the diagonal, so its determinant is a nonzero
+    constant.  With deg = 0, U and V are constant invertible matrices."""
+    P = draw(field_matrices(max_m=3, max_n=3, max_d=2))
+    f = P.field
+    unit = st.sampled_from([1, -1, 2, Fraction(-1, 3)]) if f.is_rational else st.integers(1, f.p - 1)
+    coeff = st.sampled_from([0, 1, -1, Fraction(1, 2)]) if f.is_rational else st.integers(0, f.p - 1)
+
+    def triangular(k, lower):
+        return [
+            [
+                Poly.make([draw(unit)], f) if i == j
+                else Poly.make(draw(st.lists(coeff, min_size=deg + 1, max_size=deg + 1)), f)
+                if (i > j) == lower else poly_zero(f)
+                for j in range(k)
+            ]
+            for i in range(k)
+        ]
+
+    def unimodular(k):
+        return product(triangular(k, True), triangular(k, False), f)
+
+    rows = product(product(unimodular(P.rows), P.entries, f), unimodular(P.cols), f)
+    return P, PolyMatrix.make(rows, f)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(_equivalent(0))
+def test_strict_equivalence_keeps_the_eigenstructure(case):
+    P, Q = case
+    assert eigenstructure(Q) == eigenstructure(P)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(_equivalent(1))
+def test_unimodular_equivalence_keeps_rank_and_finite_factors(case):
+    P, Q = case
+    assert rank_of(Q) == rank_of(P)
+    assert smith_form(Q) == smith_form(P) == eigenstructure(P).alphas
 
 
 # --- internal invariants under python -O ----------------------------------------

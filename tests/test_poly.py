@@ -31,6 +31,26 @@ def test_gf_coercion_wraps_mod_p():
     assert p.coeffs == (2, 2)
 
 
+def test_gf_coercion_refuses_non_integers():
+    # int() would truncate: 1/2 is 2 in GF(3), not 0
+    F = GF(3)
+    for bad in (Fraction(1, 2), Fraction(4, 2), 2.7, 2.0, True, False, "5", None):
+        with pytest.raises(ValueError, match=r"GF\(3\) elements must be ints"):
+            Poly.make([bad, 1], F)
+    with pytest.raises(ValueError):
+        Poly.make([1, 1], F).eval(Fraction(1, 2))
+    with pytest.raises(ValueError):
+        Poly.make([1, 1], F).scale(1.0)
+    assert P([Fraction(1, 2), "3/4", 2.5]).coeffs == (Fraction(1, 2), Fraction(3, 4), Fraction(5, 2))
+
+
+def test_characteristic_must_be_an_int():
+    for bad in (3.0, "3", True, Fraction(3)):
+        with pytest.raises(ValueError, match="characteristic must be integers"):
+            GF(bad)
+    assert GF(3) == GF(3) and GF(3).coerce(7) == 1
+
+
 def test_arithmetic_basics():
     a, b = P([1, 1]), P([-1, 1])
     assert (a * b).coeffs == (Fraction(-1), Fraction(0), Fraction(1))
