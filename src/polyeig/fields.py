@@ -64,9 +64,12 @@ class FieldTag:
         return "Q" if self.p is None else f"GF({self.p})"
 
     def coerce(self, value):
-        """A field element from `value`: any rational over Q, an int over
-        GF(p), never truncated (1/2, 2.7, True and "5" are refused)."""
+        """A field element from `value`: an int or a Fraction over Q, an int
+        over GF(p).  Nothing is converted: 0.1, True and "5" are refused, and
+        so is 1/2 over GF(p)."""
         if self.p is None:
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+                raise ValueError(f"Q elements must be ints or Fractions, got {value!r}")
             return Fraction(value)
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{self.name} elements must be ints, got {value!r}")

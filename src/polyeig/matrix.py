@@ -152,65 +152,114 @@ def stack_rows(P: PolyMatrix, W: PolyMatrix) -> PolyMatrix:
 
 
 def smith_form(P: PolyMatrix) -> tuple:
-    """Monic invariant factors a_1 | ... | a_r (r = rank), by gcd-pivot elimination."""
-    A = [list(row) for row in P.entries]
-    m, n = P.rows, P.cols
+    """Monic invariant factors a_1 | ... | a_r (r = rank), by gcd-pivot
+    elimination on coefficient lists.
+
+    A nonzero entry of least degree moves to the corner and reduces its
+    column by row operations and its row by column operations; a nonzero
+    remainder becomes the next pivot.  Once the corner has cleared both, a
+    row holding an entry it does not divide is added to the pivot row.
+    Each step cancels one leading term c s^(t + deg piv): over GF(p),
+    row -= c lc(piv)^-1 s^t pivot_row.  Over Q it is fraction free: rows
+    start as primitive integer polynomials, a step is row := (lc(piv) / g)
+    row - (c / g) s^t pivot_row with g = gcd(lc(piv), c), and the row
+    content (the column content, in a column step) is divided out once the
+    entry is reduced.  These scalings are units of Q[s], so the invariant
+    factors stay those of P; divisibility is tested by pseudo-remainder.
+    Only the diagonal becomes `Poly`.
+    """
+    field = P.field
+    p = field.p
+    A = [[list(e.coeffs) for e in row] for row in P.entries]
+    if p is None:
+        A = [_integer_polys(row) for row in A]
     diag = []
-    for k in range(min(m, n)):
+    while A and A[0]:
         while True:
-            # locate a minimal-degree nonzero pivot in the trailing block
-            pivot = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    if not A[i][j].is_zero and (
-                        pivot is None or A[i][j].degree < A[pivot[0]][pivot[1]].degree
-                    ):
-                        pivot = (i, j)
+            # a minimal-degree nonzero pivot in the trailing block, first in row order
+            pivot = min(((len(e), i, j) for i, row in enumerate(A) for j, e in enumerate(row) if e), default=None)
             if pivot is None:
                 break
-            pi, pj = pivot
-            A[k], A[pi] = A[pi], A[k]
-            if pj != k:
-                for row in A:
-                    row[k], row[pj] = row[pj], row[k]
-            piv = A[k][k]
-            reduced = False
-            for i in range(k + 1, m):
-                if not A[i][k].is_zero:
-                    q = A[i][k] // piv
-                    if not q.is_zero:
-                        A[i] = [A[i][j] - q * A[k][j] for j in range(n)]
-                    if not A[i][k].is_zero:
-                        reduced = True  # remainder of smaller degree remains
-            for j in range(k + 1, n):
-                if not A[k][j].is_zero:
-                    q = A[k][j] // piv
-                    if not q.is_zero:
-                        for i in range(m):
-                            A[i][j] = A[i][j] - q * A[i][k]
-                    if not A[k][j].is_zero:
-                        reduced = True
+            _, pi, pj = pivot
+            A[0], A[pi] = A[pi], A[0]
+            for row in A:
+                row[0], row[pj] = row[pj], row[0]
+            reduced = _reduce_first_column(A, p)
+            A = [list(col) for col in zip(*A)]  # the column step is the row step on the transpose
+            reduced = _reduce_first_column(A, p) or reduced
+            A = [list(col) for col in zip(*A)]
             if reduced:
                 continue
             # pivot cleared its row and column; enforce divisibility below
-            offender = None
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if not (A[i][j] % piv).is_zero:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
+            piv = A[0][0]
+            offender = next((row for row in A[1:] if not all(_divides(piv, e, p) for e in row[1:])), None)
             if offender is None:
                 break
-            A[k] = [A[k][j] + A[offender][j] for j in range(n)]
-        if A[k][k].is_zero:
+            A[0] = [_comb(1, a, -1, 0, b, p) for a, b in zip(A[0], offender)]
+        if pivot is None:
             break
-        diag.append(A[k][k].monic())
+        diag.append(Poly.make(A[0][0], field).monic())
+        A = [row[1:] for row in A[1:]]
     for a, b in zip(diag, diag[1:]):
-        if not (b % a).is_zero:
+        if a.degree > 0 and not (b % a).is_zero:
             raise InternalError("invariant factors must form a divisibility chain")
     return tuple(diag)
+
+
+def _comb(x, a, y, t, b, p):
+    """x a - y s^t b on ascending coefficient lists, reduced mod p over
+    GF(p) and without trailing zeros; x is 1 over GF(p)."""
+    if not (y and b):
+        return a if x == 1 else [x * c for c in a]
+    out = [x * c for c in a] if x != 1 else list(a)
+    if len(out) < len(b) + t:
+        out += [0] * (len(b) + t - len(out))
+    for i, c in enumerate(b, t):
+        out[i] -= y * c
+    if p is not None:
+        out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _content_free(polys):
+    """Integer polynomials divided by the gcd of all their coefficients."""
+    g = reduce(gcd, (c for e in polys for c in e), 0)
+    return [[c // g for c in e] for e in polys] if g > 1 else polys
+
+
+def _integer_polys(polys):
+    """Rational polynomials scaled to primitive integer ones by a common factor."""
+    den = reduce(lcm, (c.denominator for e in polys for c in e), 1)
+    return _content_free([[c.numerator * (den // c.denominator) for c in e] for e in polys])
+
+
+def _reduce_first_column(A, p):
+    """Reduce each A[i][0], i >= 1, by the pivot A[0][0] with row
+    operations, one leading term at a time; over Q each reduced row is made
+    primitive.  Whether a nonzero remainder is left."""
+    prow = A[0]
+    lp = len(prow[0])
+    x, u = (prow[0][-1], 1) if p is None else (1, pow(prow[0][-1], -1, p))
+    left = False
+    for i in range(1, len(A)):
+        row = A[i]
+        if not row[0]:
+            continue
+        while len(row[0]) >= lp:
+            y, t = row[0][-1] * u, len(row[0]) - lp
+            g = gcd(x, y)
+            row = [_comb(x // g, a, y // g, t, b, p) for a, b in zip(row, prow)]
+        A[i] = _content_free(row) if p is None else row
+        left = left or bool(row[0])
+    return left
+
+
+def _divides(b, a, p):
+    """Whether the nonzero b divides a: a nonzero constant always does,
+    otherwise a's pseudo-remainder by b is zero."""
+    return len(b) == 1 or not _reduce_first_column([[b], [a]], p)
 
 
 def rank_of(P: PolyMatrix) -> int:

@@ -55,6 +55,8 @@ class GridSpec:
     d: int
 
     def __post_init__(self):
+        if not isinstance(self.field, FieldTag) or self.field.is_rational:
+            raise ValueError(f"grid field must be a GF(p), got {self.field!r}")
         ensure_ints((self.m, self.n, self.z, self.d), "grid sizes m, n, z and d")
         for name in ("m", "n", "z"):
             if getattr(self, name) < 1:

@@ -1,8 +1,10 @@
 import random
+from functools import cache
+from itertools import combinations
 
 import pytest
 
-from polyeig import GF, QQ, HomogPoly, Poly, PolyMatrix, homog_deg, poly_gcd, poly_zero
+from polyeig import GF, QQ, HomogPoly, Poly, PolyMatrix, homog_deg, poly_gcd, poly_one, poly_zero
 
 
 @pytest.fixture
@@ -52,3 +54,40 @@ def ref_dls(phi, gamma, offset, upper):
         k = i + offset
         total += homog_deg(ref_lcm(phi[k - 1], gamma[i - 1]) if k >= 1 else gamma[i - 1])
     return total
+
+
+def ref_det(rows, field):
+    """Determinant of a square matrix of Poly by Laplace expansion along
+    the rows, memoised on the columns left."""
+    n = len(rows)
+
+    @cache
+    def minor(cols):
+        if not cols:
+            return poly_one(field)
+        total = poly_zero(field)
+        for k, j in enumerate(cols):
+            term = rows[n - len(cols)][j] * minor(cols[:k] + cols[k + 1:])
+            total = total + term if k % 2 == 0 else total - term
+        return total
+
+    return minor(tuple(range(n)))
+
+
+def ref_invariant_factors(P):
+    """Smith form by determinantal divisors: d_k is the monic gcd of all
+    k x k minors, a_k = d_k / d_(k-1), up to the largest k with a nonzero
+    minor."""
+    f = P.field
+    divisors = [poly_one(f)]
+    for k in range(1, min(P.rows, P.cols) + 1):
+        d = poly_zero(f)
+        for rs in combinations(range(P.rows), k):
+            for cs in combinations(range(P.cols), k):
+                minor = ref_det([[P.entries[r][c] for c in cs] for r in rs], f)
+                if not minor.is_zero:
+                    d = poly_gcd(d, minor)
+        if d.is_zero:
+            break
+        divisors.append(d)
+    return tuple(b // a for a, b in zip(divisors, divisors[1:]))

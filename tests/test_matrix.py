@@ -30,7 +30,7 @@ from polyeig import (
 )
 from polyeig.matrix import echelon, matrix_rank_constant, nullspace
 
-from conftest import FIELDS, product, random_matrix
+from conftest import FIELDS, product, random_matrix, ref_det, ref_invariant_factors
 
 S = [0, 1]
 
@@ -95,6 +95,62 @@ def test_smith_chain_property(rng):
         for a, b in zip(factors, factors[1:]):
             assert (b % a).is_zero
         assert all(a.is_monic for a in factors)
+
+
+def _smith_cases(seed, count):
+    """Matrices up to 3 x 4 of degree <= 2 over Q (integer and non-integer
+    rational coefficients), GF(2), GF(3), GF(5) and GF(10007).  A third
+    are A D B with constant A, B and a diagonal D whose entries share a
+    factor but need not divide each other, and a third are products
+    through a thinner inner dimension, so rank deficient."""
+    rng = random.Random(seed)
+    fields = [QQ, QQ, GF(2), GF(3), GF(5), GF(10007)]
+    pool = [-2, -1, 0, 1, 3, Fraction(1, 2), Fraction(-5, 3)]
+
+    def entry(field, d):
+        if field.is_rational:
+            return Poly.make([rng.choice(pool) for _ in range(d + 1)], field)
+        return Poly.make([rng.randrange(field.p) for _ in range(d + 1)], field)
+
+    for _ in range(count):
+        field = rng.choice(fields)
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        kind = rng.randrange(3)
+        if kind == 0:
+            d = rng.randint(0, 2)
+            yield PolyMatrix.make([[entry(field, d) for _ in range(n)] for _ in range(m)], field)
+            continue
+        k = min(m, n) if kind == 1 else rng.randint(1, max(1, min(m, n) - 1))
+        A = [[entry(field, 0 if kind == 1 else rng.randint(0, 1)) for _ in range(k)] for _ in range(m)]
+        B = [[entry(field, 0 if kind == 1 else 1) for _ in range(n)] for _ in range(k)]
+        if kind == 1:
+            shared = entry(field, 1)
+            D = [[shared * entry(field, rng.randint(0, 1)) if i == j else poly_zero(field) for j in range(k)]
+                 for i in range(k)]
+            A = product(A, D, field)
+        P = PolyMatrix.make(product(A, B, field), field)
+        if not P.is_zero:
+            yield P
+
+
+def test_smith_form_matches_determinantal_divisors():
+    deficient = nontrivial = 0
+    for P in _smith_cases("smith-vs-minors", 1000):
+        want = ref_invariant_factors(P)
+        assert smith_form(P) == want, str(P)
+        deficient += len(want) < min(P.rows, P.cols)
+        nontrivial += len(want) > 1 and want[-2].degree > 0
+    assert deficient >= 150 and nontrivial >= 90
+
+
+def test_smith_form_of_the_6x6_degree_3_matrix():
+    # a_1 = ... = a_5 = 1, so a_6 is the whole determinant, made monic
+    rng = random.Random("6x6d3")
+    P = M([[[rng.randint(-3, 3) for _ in range(4)] for _ in range(6)] for _ in range(6)])
+    factors = smith_form(P)
+    assert tuple(a.degree for a in factors) == (0, 0, 0, 0, 0, 18)
+    det = ref_det([list(row) for row in P.entries], QQ)
+    assert factors[-1] == det.monic()
 
 
 def test_infinite_multiplicities():
@@ -539,12 +595,29 @@ else:
 """
 
 
+_EVERYTHING_DIVIDES = """
+import polyeig.matrix as mx
+from polyeig import QQ, InternalError, PolyMatrix, smith_form
+
+if __debug__:
+    raise SystemExit("not running under -O")
+mx._divides = lambda b, a, p: True
+try:
+    smith_form(PolyMatrix.make([[[0, 1], []], [[], [1, 1]]], QQ))
+except InternalError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InternalError")
+"""
+
+
 def test_internal_invariants_survive_optimize():
     src = os.path.dirname(os.path.dirname(polyeig.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     for script, message in (
         (_DROP_ONE_BASIS_VECTOR, "kernel dimension not reached"),
         (_ZERO_CONSTANT_RANKS, "multiplicities at infinity"),
+        (_EVERYTHING_DIVIDES, "divisibility chain"),
     ):
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script],

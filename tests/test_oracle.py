@@ -5,7 +5,7 @@ grid with rank excess 2."""
 import pytest
 
 import polyeig.oracle as oracle
-from polyeig import eigenstructure, stack_rows
+from polyeig import GF, QQ, eigenstructure, stack_rows
 from polyeig.feasibility import FeasibilityReport
 from polyeig.oracle import GridSpec, achieved_set, all_matrices, run_grid
 from polyeig.realize import all_completion_rows
@@ -92,3 +92,11 @@ def test_jobs_capped_at_chunks_and_cores(monkeypatch):
     assert asked == [min(12, os.cpu_count() or 1)]
     monkeypatch.setitem(oracle.CHECKERS, "full", always_feasible)
     assert run_grid(PLANT_GRID, jobs=10**6) == run_grid(PLANT_GRID)
+
+
+def test_grid_spec_field_must_be_a_prime_field():
+    # a name or Q used to construct, and run_grid then died inside the grid
+    for bad in ("gf2", 2, None, QQ):
+        with pytest.raises(ValueError, match="grid field must be a GF"):
+            GridSpec(bad, 1, 1, 1, 1)
+    assert GridSpec(GF(3), 1, 1, 1, 1) == GridSpec.parse("gf3 m=1 n=1 z=1 d=1")

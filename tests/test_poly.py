@@ -41,7 +41,20 @@ def test_gf_coercion_refuses_non_integers():
         Poly.make([1, 1], F).eval(Fraction(1, 2))
     with pytest.raises(ValueError):
         Poly.make([1, 1], F).scale(1.0)
-    assert P([Fraction(1, 2), "3/4", 2.5]).coeffs == (Fraction(1, 2), Fraction(3, 4), Fraction(5, 2))
+    assert P([Fraction(1, 2), 3]).coeffs == (Fraction(1, 2), Fraction(3))
+
+
+def test_q_coercion_refuses_floats_bools_and_strings():
+    # Fraction(value) took 0.1 as 3602879701896397/36028797018963968 and True as 1
+    for bad in (0.1, 2.5, 2.0, True, False, "5", "3/4", None, 1j):
+        with pytest.raises(ValueError, match="Q elements must be ints or Fractions"):
+            P([bad, 1])
+        with pytest.raises(ValueError):
+            P([1, 1]).eval(bad)
+        with pytest.raises(ValueError):
+            P([1, 1]).scale(bad)
+    assert P([-2, Fraction(3, 4)]).coeffs == (Fraction(-2), Fraction(3, 4))
+    assert QQ.coerce(Fraction(6, 4)) == Fraction(3, 2) and type(QQ.coerce(7)) is Fraction
 
 
 def test_characteristic_must_be_an_int():
