@@ -12,7 +12,6 @@ from .homog import HomogPoly, homog_deg, homog_divides, homog_one, is_divisibili
 from .sequences import InternalError, gen_majorizes, majorizes
 from .matrix import (
     Eigenstructure,
-    MinimalBasis,
     PolyMatrix,
     ZeroMatrixError,
     companion_form,
@@ -74,7 +73,6 @@ __all__ = [
     "gen_majorizes",
     "majorizes",
     "Eigenstructure",
-    "MinimalBasis",
     "PolyMatrix",
     "ZeroMatrixError",
     "companion_form",

@@ -1,8 +1,9 @@
 """Polynomial matrices over an exact field and their eigenstructure.
 
-Covers degree, normal rank, Smith form, multiplicities at infinity,
-minimal bases / minimal indices, the assembled eigenstructure, and the
-first Frobenius companion linearization.
+Covers degree, normal rank, Smith form, multiplicities at infinity and
+minimal indices (both read off ranks of block-Toeplitz systems, with no
+basis built), the assembled eigenstructure, and the first Frobenius
+companion linearization.
 """
 
 from __future__ import annotations
@@ -73,20 +74,6 @@ class PolyMatrix:
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.entries)
-
-
-@dataclass(frozen=True)
-class MinimalBasis:
-    """Polynomial vectors of least order spanning a rational null space."""
-
-    vectors: tuple  # tuple of polynomial vectors (tuples of Poly)
-    orders: tuple   # their degrees, nonincreasing
-
-    def __post_init__(self):
-        if len(self.vectors) != len(self.orders):
-            raise ValueError("one order per vector")
-        if any(a < b for a, b in zip(self.orders, self.orders[1:])):
-            raise ValueError("orders must be nonincreasing")
 
 
 @dataclass(frozen=True)
@@ -328,32 +315,11 @@ def echelon(rows, field: FieldTag):
     return basis
 
 
-def nullspace(rows, ncols: int, field: FieldTag):
-    """Basis of the right nullspace of a constant matrix (list of rows).
-
-    One vector per non-pivot column of `echelon`'s form, whose rows are
-    normalised only here, so the basis is that of plain Gauss-Jordan, in
-    value and type.
-    """
-    f = field
-    pivots = {pcol: (prow, f.inv(prow[pcol])) for pcol, prow in echelon(rows, f)}
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        v = [f.zero] * ncols
-        v[free] = f.one
-        for pcol, (prow, inv) in pivots.items():
-            v[pcol] = f.neg(f.mul(prow[free], inv))
-        basis.append(v)
-    return basis
-
-
 def matrix_rank_constant(rows, field: FieldTag) -> int:
     return len(echelon(rows, field))
 
 
-# --- block-Toeplitz systems: multiplicities at infinity, minimal bases ------
+# --- block-Toeplitz systems: multiplicities at infinity, minimal indices ----
 
 
 def _convolution_rows(P: PolyMatrix, delta: int, d: int):
@@ -375,81 +341,64 @@ def _convolution_rows(P: PolyMatrix, delta: int, d: int):
     return rows
 
 
-def infinite_multiplicities(P: PolyMatrix, rank: int | None = None) -> tuple:
+def _read_off(count, total, cap, what):
+    """The values v_1 <= ... <= v_total, ascending, of a count
+    k -> sum max(0, k - v_i).  Its step from k - 1 to k is #{v_i < k}: the
+    values found so far and one per v_i = k - 1.  The count is taken for
+    k = 1, 2, ... until `total` values are found, and not past k = cap."""
+    values, last = [], 0
+    for k in range(1, cap + 1):
+        if len(values) >= total:
+            break
+        now = count(k)
+        values += [k - 1] * (now - last - len(values))
+        last = now
+    if len(values) != total:
+        raise InternalError(f"expected {total} {what} by k = {cap}, found {values}")
+    return tuple(values)
+
+
+def infinite_multiplicities(P: PolyMatrix, *, _rank: int | None = None) -> tuple:
     """Partial multiplicities of infinity: the t-adic valuations e_i of the
     Smith form of rev P(t) = t^d P(1/t), read off constant ranks.
 
     The block-Toeplitz matrix T_k of the first k coefficients of rev P is,
     up to block order, the last k block rows of the convolution system for
     deg x <= k - 1.  Its rank is sum max(0, k - e_i) (Gohberg, Lancaster &
-    Rodman 1982), so the step rank T_k - rank T_(k-1) counts the e_i < k:
-    those found so far and one per e_i = k - 1.  Every e_i is at most
-    r * d, so k stops by r * d + 1.  A known normal rank may be passed to
-    skip its Smith form.
+    Rodman 1982).  Every e_i is at most r * d, so k stops by r * d + 1.
+    `_rank`, the normal rank, is for `eigenstructure`, which has it.
     """
     d = degree_of(P)
-    r = rank_of(P) if rank is None else rank
-    mults = []
-    last_rank = 0
-    for k in range(1, r * d + 2):
-        rk = matrix_rank_constant(_convolution_rows(P, k - 1, d)[d * P.rows:], P.field)
-        mults += [k - 1] * (rk - last_rank - len(mults))
-        last_rank = rk
-        if len(mults) >= r:
-            break
-    if len(mults) != r or (mults and mults[0] != 0):
-        raise InternalError(f"expected {r} multiplicities at infinity rising from 0, found {mults}")
-    return tuple(mults)
+    r = rank_of(P) if _rank is None else _rank
+    mults = _read_off(
+        lambda k: matrix_rank_constant(_convolution_rows(P, k - 1, d)[d * P.rows:], P.field),
+        r, r * d + 1, "multiplicities at infinity",
+    )
+    if mults and mults[0] != 0:
+        raise InternalError(f"multiplicities at infinity must rise from 0, found {mults}")
+    return mults
 
 
-def right_minimal_basis(P: PolyMatrix, rank: int | None = None):
-    """Minimal basis of the right nullspace.
+def minimal_indices(P: PolyMatrix, *, _rank: int | None = None):
+    """Column and row minimal indices, each nonincreasing: those of P and
+    of its transpose.
 
-    Returns a list of polynomial column vectors (tuples of Poly) sorted by
-    nonincreasing degree; the degrees are the column minimal indices.
-    For delta = 0, 1, ... the nullspace of the block-Toeplitz system for
-    deg x <= delta is read off its reduced row echelon form: one vector per
-    non-pivot column, which is that vector's last nonzero entry.  A
-    non-pivot column stays non-pivot one block later, so column j of block
-    delta that was pivot in every earlier block marks a new minimal index
-    delta, and its vector is kept.  The kept vectors have triangular
-    leading coefficients and the least degree sum, so they form a minimal
-    basis (Forney 1975).  A known normal rank may be passed to skip its
-    Smith form.
+    The polynomial vectors x with P x = 0 and deg x <= delta are the kernel
+    of the convolution system C_delta.  A minimal basis has the
+    predictable-degree property (Forney 1975), so with k = delta + 1,
+    dim ker C_delta = n k - rank C_delta = sum max(0, k - eps_i) over the
+    column minimal indices eps_i, each at most r * d.  `_rank`, the normal
+    rank, is for `eigenstructure`, which has it.
     """
-    f = P.field
-    n = P.cols
-    r = rank_of(P) if rank is None else rank
-    want = n - r
-    if want == 0:
-        return []
+    r = rank_of(P) if _rank is None else _rank
     d = 0 if P.is_zero else degree_of(P)
-    chosen = {}  # column -> (degree, polynomial vector)
-    for delta in range(max(0, r * d) + 1):
-        block = delta * n
-        for w in nullspace(_convolution_rows(P, delta, d), block + n, f):
-            j = max(i for i, c in enumerate(w) if c) - block
-            if j >= 0 and j not in chosen:
-                chosen[j] = (delta, tuple(Poly.make(w[col::n], f) for col in range(n)))
-        if len(chosen) == want:
-            break
-    if len(chosen) != want:
-        raise InternalError("kernel dimension not reached within the degree cap")
-    return [vec for _, vec in sorted(chosen.values(), key=lambda t: -t[0])]
-
-
-def minimal_indices(P: PolyMatrix, rank: int | None = None):
-    """Column and row minimal indices with their witnessing minimal bases.
-
-    `rank`, the normal rank of P (and of its transpose), is computed when
-    not given."""
-    if rank is None:
-        rank = rank_of(P)
-    right = right_minimal_basis(P, rank)
-    left = right_minimal_basis(P.transpose(), rank)
-    col = tuple(max(e.degree for e in v) for v in right)
-    row = tuple(max(e.degree for e in v) for v in left)
-    return col, row, MinimalBasis(tuple(right), col), MinimalBasis(tuple(left), row)
+    return tuple(
+        _read_off(
+            lambda k: A.cols * k - matrix_rank_constant(_convolution_rows(A, k - 1, d), A.field),
+            A.cols - r, r * d + 1, f"{side} minimal indices",
+        )[::-1]
+        for A, side in ((P, "column"), (P.transpose(), "row"))
+    )
 
 
 def eigenstructure(P: PolyMatrix) -> Eigenstructure:
@@ -457,8 +406,8 @@ def eigenstructure(P: PolyMatrix) -> Eigenstructure:
     d = degree_of(P)
     alphas = smith_form(P)
     r = len(alphas)
-    col, row, _, _ = minimal_indices(P, r)
-    hom = tuple(HomogPoly(a, e) for a, e in zip(alphas, infinite_multiplicities(P, r)))
+    hom = tuple(HomogPoly(a, e) for a, e in zip(alphas, infinite_multiplicities(P, _rank=r)))
+    col, row = minimal_indices(P, _rank=r)
     es = Eigenstructure(
         degree=d,
         rank=r,

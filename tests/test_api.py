@@ -4,13 +4,18 @@ import polyeig
 
 # Names that have left the API, by the module that held them: the sentinel
 # chain algebra, the lcm helpers, the wrappers that no library path ran, the
-# oracle's own row echelon form, now `matrix.echelon`, and the checkers'
-# exponent vectors over a coprime base, now one lcm-degree table.
+# oracle's own row echelon form, now `matrix.echelon`, the checkers'
+# exponent vectors over a coprime base, now one lcm-degree table, and the
+# minimal bases that no caller used, now that both index lists are read off
+# ranks.
 REMOVED = {
     "homog": ("HOMOG_ONE", "HOMOG_ZERO", "chain_at", "homog_lcm"),
     "poly": ("poly_lcm",),
     "feasibility": ("build_gaps_row_form", "build_gaps_col_form", "_check_gap_shape", "_coprime_base", "_vectors"),
-    "matrix": ("is_column_reduced", "apply_matrix", "_coeff_block", "reversal"),
+    "matrix": (
+        "is_column_reduced", "apply_matrix", "_coeff_block", "reversal",
+        "MinimalBasis", "nullspace", "right_minimal_basis",
+    ),
     "oracle": ("_rref", "_stack_key"),
     "realize": ("SearchBudget", "search_completion"),
     "sequences": ("union_desc",),
