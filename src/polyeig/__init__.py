@@ -40,12 +40,7 @@ from .feasibility import (
 )
 from .realize import (
     BudgetExceededError,
-    ColumnSingular,
-    Companion,
-    InfinityBlock,
-    RowSingular,
     enumerate_targets,
-    kronecker_block,
     realize_low_degree,
     search_realization,
 )
@@ -97,12 +92,7 @@ __all__ = [
     "check_infinite_only",
     "construct_d",
     "BudgetExceededError",
-    "ColumnSingular",
-    "Companion",
-    "InfinityBlock",
-    "RowSingular",
     "enumerate_targets",
-    "kronecker_block",
     "realize_low_degree",
     "search_realization",
 ]

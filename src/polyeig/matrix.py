@@ -13,7 +13,7 @@ from functools import reduce
 from math import gcd, lcm
 
 from .fields import FieldTag, same_field
-from .homog import HomogPoly, ensure_chain
+from .homog import HomogPoly, ensure_chain, homog_one
 from .poly import Poly
 from .sequences import InternalError, ensure_ints, ensure_partition
 
@@ -463,8 +463,6 @@ def companion_transform(es: Eigenstructure, field: FieldTag) -> Eigenstructure:
     """Eigenstructure of the companion form, derived from the matrix's own:
     (d-1)n unit factors are prepended, column indices grow by d-1, row
     indices are unchanged."""
-    from .homog import homog_one
-
     d, n = es.degree, es.ncols
     units = tuple(homog_one(field) for _ in range((d - 1) * n))
     return Eigenstructure(

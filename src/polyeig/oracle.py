@@ -33,7 +33,7 @@ from operator import attrgetter
 from .feasibility import CHECKERS, PRESCRIBES, CompletionTarget
 from .fields import FieldTag, is_digits, parse_gf
 from .matrix import PolyMatrix, degree_of, echelon, eigenstructure, stack_rows
-from .realize import BudgetExceededError, all_completion_rows, all_matrices, enumerate_targets, search_space_size
+from .realize import _ensure_budget, all_completion_rows, all_matrices, enumerate_targets
 from .sequences import ensure_ints
 
 THEOREMS = tuple(CHECKERS)
@@ -196,12 +196,6 @@ def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridConte
     return mismatches
 
 
-def grid_size(spec: GridSpec) -> int:
-    """Completions examined: (#P) x (#W per P)."""
-    n_mats = search_space_size(spec.field, spec.m, spec.n, spec.d)
-    return n_mats * search_space_size(spec.field, spec.z, spec.n, spec.d)
-
-
 def _check_chunk(args):
     """Mismatches of consecutive grid matrices, sharing one memo."""
     mats, z, theorems, checkers = args
@@ -213,8 +207,9 @@ def run_grid(spec: GridSpec, theorems=THEOREMS, budget: int | None = None, jobs:
     """All mismatches over the grid; empty list means checkers and
     exhaustive search agree everywhere.  The order is the grid order, for
     any number of jobs."""
-    if budget is not None and grid_size(spec) > budget:
-        raise BudgetExceededError(grid_size(spec), budget)
+    if budget is not None:
+        # completions examined: (#P) x (#W per P) = p^(m n (d+1)) p^(z n (d+1))
+        _ensure_budget(spec.field, spec.m + spec.z, spec.n, spec.d, budget)
     mats = list(all_matrices(spec.m, spec.n, spec.d, spec.field))
     theorems = tuple(theorems)
     if jobs <= 1:

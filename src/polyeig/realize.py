@@ -1,32 +1,31 @@
 """Constructive realization and exhaustive finite-field search.
 
-The canonical Kronecker building blocks realize any feasible eigenstructure
-of degree at most 1; for higher degrees over GF(p) an exhaustive,
-budget-guarded enumeration serves as ground truth for the feasibility
-checkers.
+A direct sum of companion and bidiagonal pencils realizes any feasible
+eigenstructure of degree at most 1; for higher degrees over GF(p) an
+exhaustive, budget-guarded enumeration serves as ground truth for the
+feasibility checkers.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .feasibility import check_existence
-from .fields import FieldTag
+from .fields import FieldTag, same_field
 from .homog import HomogPoly
 from .matrix import (
     Eigenstructure,
     PolyMatrix,
     companion_form,
-    degree_of,
     eigenstructure,
 )
-from .poly import Poly, poly_one
+from .poly import Poly, poly_one, poly_s
 from .sequences import InternalError
 
 
 class BudgetExceededError(RuntimeError):
-    """Enumeration space larger than the allowed budget."""
+    """Enumeration space larger than the allowed budget.  `size` is a count,
+    or a power such as "2^20200" for a search space."""
 
     def __init__(self, size, budget):
         super().__init__(f"enumeration of {size} candidates exceeds budget {budget}")
@@ -34,126 +33,51 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Companion:
-    alpha: Poly
-
-    def __post_init__(self):
-        if not self.alpha.is_monic or self.alpha.degree < 1:
-            raise ValueError("companion block needs a monic polynomial of positive degree")
-
-
-@dataclass(frozen=True)
-class InfinityBlock:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("infinity block size must be at least 1")
-
-
-@dataclass(frozen=True)
-class ColumnSingular:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("singular block index must be nonnegative")
-
-
-@dataclass(frozen=True)
-class RowSingular:
-    k: int
-
-    def __post_init__(self):
-        if self.k < 0:
-            raise ValueError("singular block index must be nonnegative")
-
-
-def kronecker_block(kind, field: FieldTag | None = None) -> PolyMatrix:
-    """The canonical pencil block for the given kind.
-
-    Singular blocks of index 0 are degenerate (a single zero row or
-    column) and are rejected here; the realization handles zero indices
-    by zero padding instead.
-    """
-    if isinstance(kind, Companion):
-        return companion_form(PolyMatrix(((kind.alpha,),), kind.alpha.field))
-    if field is None:
-        raise ValueError("field required for parameterized blocks")
-    f = field
-    s, one, zero = Poly.make([f.zero, f.one], f), Poly.make([f.one], f), Poly((), f)
-    if isinstance(kind, InfinityBlock):
-        k = kind.k
-        return PolyMatrix.make(
-            [[one if i == j else s if j == i + 1 else zero for j in range(k)] for i in range(k)],
-            f,
-        )
-    if isinstance(kind, ColumnSingular):
-        k = kind.k
-        if k == 0:
-            raise ValueError("index-0 singular block is a bare zero column")
-        return PolyMatrix.make(
-            [[s if i == j else one if j == i + 1 else zero for j in range(k + 1)] for i in range(k)],
-            f,
-        )
-    if isinstance(kind, RowSingular):
-        k = kind.k
-        if k == 0:
-            raise ValueError("index-0 singular block is a bare zero row")
-        return kronecker_block(ColumnSingular(k), f).transpose()
-    raise ValueError(f"unknown block kind: {kind!r}")
+def _bidiagonal(rows: int, cols: int, diag: Poly, sup: Poly) -> PolyMatrix:
+    """rows x cols matrix with `diag` on the diagonal, `sup` just above it."""
+    zero = Poly((), diag.field)
+    grid = [[diag if j == i else sup if j == i + 1 else zero for j in range(cols)] for i in range(rows)]
+    return PolyMatrix.make(grid, diag.field)
 
 
 def _block_diag(blocks, m: int, n: int, field: FieldTag) -> PolyMatrix:
     """Direct sum of the blocks, zero-padded to m x n."""
+    if sum(b.rows for b in blocks) > m or sum(b.cols for b in blocks) > n:
+        raise InternalError("blocks exceed the requested dimensions")
     zero = Poly((), field)
     grid = [[zero] * n for _ in range(m)]
     i = j = 0
     for blk in blocks:
-        for bi in range(blk.rows):
-            for bj in range(blk.cols):
-                grid[i + bi][j + bj] = blk.entry(bi, bj)
+        for bi, row in enumerate(blk.entries):
+            grid[i + bi][j : j + blk.cols] = row
         i += blk.rows
         j += blk.cols
-    if i > m or j > n:
-        raise ValueError("blocks exceed the requested dimensions")
     return PolyMatrix.make(grid, field)
 
 
 def realize_low_degree(target: Eigenstructure, field: FieldTag) -> PolyMatrix:
-    """Matrix of degree 0 or 1 with exactly the given eigenstructure."""
+    """Matrix of degree 0 or 1 with exactly the given eigenstructure: the
+    direct sum of a companion pencil per finite part, I + sN per
+    multiplicity at infinity, and an s/1 bidiagonal block per positive
+    column minimal index (its transpose per positive row index)."""
+    same_field(field, *(h.field for h in target.hom_factors))
     rep = check_existence(target)
     if not rep.feasible:
         raise ValueError(f"target is not realizable: {', '.join(rep.violations)}")
     if target.degree not in (0, 1):
         raise ValueError("direct realization covers degrees 0 and 1 only")
-    m, n, r = target.nrows, target.ncols, target.rank
-    f = field
+    one, s = poly_one(field), poly_s(field)
     if target.degree == 0:
         # only all-unit factors and zero indices pass the existence check
-        one, zero = Poly.make([f.one], f), Poly((), f)
-        grid = [[one if i == j and i < r else zero for j in range(n)] for i in range(m)]
-        P = PolyMatrix.make(grid, f)
+        blocks = [PolyMatrix(((one,),), field)] * target.rank
     else:
-        blocks = []
-        for h in target.hom_factors:
-            if h.alpha.degree >= 1:
-                blocks.append(kronecker_block(Companion(h.alpha), f))
-        for h in target.hom_factors:
-            if h.e > 0:
-                blocks.append(kronecker_block(InfinityBlock(h.e), f))
-        for k in target.col_indices:
-            if k > 0:
-                blocks.append(kronecker_block(ColumnSingular(k), f))
-        for k in target.row_indices:
-            if k > 0:
-                blocks.append(kronecker_block(RowSingular(k), f))
-        P = _block_diag(blocks, m, n, f)
-        if degree_of(P) != 1:
-            raise InternalError("Kronecker realization must be a pencil")
-    got = eigenstructure(P)
-    if got != target:
+        factors = target.hom_factors
+        blocks = [companion_form(PolyMatrix(((h.alpha,),), field)) for h in factors if h.alpha.degree >= 1]
+        blocks += [_bidiagonal(h.e, h.e, one, s) for h in factors if h.e > 0]
+        blocks += [_bidiagonal(k, k + 1, s, one) for k in target.col_indices if k > 0]
+        blocks += [_bidiagonal(k, k + 1, s, one).transpose() for k in target.row_indices if k > 0]
+    P = _block_diag(blocks, target.nrows, target.ncols, field)
+    if eigenstructure(P) != target:
         raise InternalError("realization round-trip failed")
     return P
 
@@ -191,15 +115,24 @@ def search_space_size(field: FieldTag, z: int, n: int, dmax: int) -> int:
     return field.p ** (z * n * (dmax + 1))
 
 
+def _ensure_budget(field: FieldTag, z: int, n: int, dmax: int, budget: int) -> None:
+    """Raise BudgetExceededError unless the p^e matrices counted by
+    `search_space_size` fit the budget.  p^e >= 2^(e (bits(p) - 1)), which
+    exceeds the budget once that exponent reaches the budget's bit length;
+    below it p^e has under twice the budget's bits."""
+    p, e = field.p, z * n * (dmax + 1)
+    if e * (p.bit_length() - 1) >= budget.bit_length() or p**e > budget:
+        raise BudgetExceededError(f"{p}^{e}", budget)
+
+
 def search_realization(target: Eigenstructure, field: FieldTag, budget: int):
     """First matrix of the target's shape and degree (lexicographic
     coefficient order) whose eigenstructure is `target`; None if none is."""
+    same_field(field, *(h.field for h in target.hom_factors))
     if field.is_rational:
         raise ValueError("exhaustive search requires a finite field")
     m, n, d = target.nrows, target.ncols, target.degree
-    size = search_space_size(field, m, n, d)
-    if size > budget:
-        raise BudgetExceededError(size, budget)
+    _ensure_budget(field, m, n, d, budget)
     for P in all_matrices(m, n, d, field):
         if eigenstructure(P) == target:
             return P

@@ -7,7 +7,8 @@ import polyeig
 # oracle's own row echelon form, now `matrix.echelon`, the checkers'
 # exponent vectors over a coprime base, now one lcm-degree table, and the
 # minimal bases that no caller used, now that both index lists are read off
-# ranks.
+# ranks, and the Kronecker block classes, now built inside
+# `realize_low_degree`.
 REMOVED = {
     "homog": ("HOMOG_ONE", "HOMOG_ZERO", "chain_at", "homog_lcm"),
     "poly": ("poly_lcm",),
@@ -16,8 +17,11 @@ REMOVED = {
         "is_column_reduced", "apply_matrix", "_coeff_block", "reversal",
         "MinimalBasis", "nullspace", "right_minimal_basis",
     ),
-    "oracle": ("_rref", "_stack_key"),
-    "realize": ("SearchBudget", "search_completion"),
+    "oracle": ("_rref", "_stack_key", "grid_size"),
+    "realize": (
+        "SearchBudget", "search_completion",
+        "Companion", "InfinityBlock", "ColumnSingular", "RowSingular", "kronecker_block",
+    ),
     "sequences": ("union_desc",),
 }
 

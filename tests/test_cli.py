@@ -166,6 +166,10 @@ def test_oracle_grid(capsys):
 def test_oracle_budget(capsys):
     assert main(["oracle", "gf2 n=2 m=2 z=2 d=2", "--budget", "100"]) == 4
     capsys.readouterr()
+    # 2^20200 completions: refused from the exponent, named without its
+    # 6,081 decimal digits
+    assert main(["oracle", "gf2 m=100 n=100 z=1 d=1"]) == 4
+    assert capsys.readouterr().err == "error: enumeration of 2^20200 candidates exceeds budget 4194304\n"
 
 
 def test_oracle_bad_grid(capsys):

@@ -652,6 +652,41 @@ else:
 """
 
 
+_WRONG_COMPANION = """
+import polyeig.realize as rz
+from polyeig import QQ, Eigenstructure, HomogPoly, InternalError, PolyMatrix, Poly, homog_one, realize_low_degree
+
+if __debug__:
+    raise SystemExit("not running under -O")
+real = rz.companion_form
+# the companion pencil of 1 + s^k in place of that of the finite part
+rz.companion_form = lambda P: real(PolyMatrix.make([[[1] + [0] * (P.entry(0, 0).degree - 1) + [1]]], QQ))
+try:
+    realize_low_degree(Eigenstructure(1, 2, (homog_one(QQ), HomogPoly(Poly.make([0, 0, 1], QQ), 0)), (), ()), QQ)
+except InternalError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InternalError")
+"""
+
+
+_OVERSIZE_COMPANION = """
+import polyeig.realize as rz
+from polyeig import QQ, Eigenstructure, HomogPoly, InternalError, PolyMatrix, Poly, homog_one, realize_low_degree
+
+if __debug__:
+    raise SystemExit("not running under -O")
+# a 3 x 1 block where the 2 x 2 target has room for two rows
+rz.companion_form = lambda P: PolyMatrix.make([[[1]]] * 3, QQ)
+try:
+    realize_low_degree(Eigenstructure(1, 2, (homog_one(QQ), HomogPoly(Poly.make([0, 0, 1], QQ), 0)), (), ()), QQ)
+except InternalError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InternalError")
+"""
+
+
 def test_internal_invariants_survive_optimize():
     src = os.path.dirname(os.path.dirname(polyeig.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -659,6 +694,8 @@ def test_internal_invariants_survive_optimize():
         (_NO_KERNEL_SEEN, "expected 1 column minimal indices"),
         (_ZERO_CONSTANT_RANKS, "multiplicities at infinity"),
         (_EVERYTHING_DIVIDES, "divisibility chain"),
+        (_WRONG_COMPANION, "realization round-trip failed"),
+        (_OVERSIZE_COMPANION, "blocks exceed the requested dimensions"),
     ):
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script],

@@ -4,22 +4,19 @@ from polyeig import (
     GF,
     QQ,
     BudgetExceededError,
-    ColumnSingular,
-    Companion,
     Eigenstructure,
+    FieldMismatchError,
     HomogPoly,
-    InfinityBlock,
     Poly,
-    RowSingular,
     eigenstructure,
     enumerate_targets,
-    kronecker_block,
     homog_one,
     realize_low_degree,
     search_realization,
 )
 
 S = [0, 1]
+ONE = homog_one(QQ)
 
 
 def H(coeffs, e=0, field=QQ):
@@ -30,39 +27,36 @@ def grid(P):
     return [[str(e) for e in row] for row in P.entries]
 
 
+def realized(rank, factors=(), cols=(), rows=()):
+    """Grid of the degree-1 witness whose last factors are `factors`, the
+    rest units."""
+    chain = (ONE,) * (rank - len(factors)) + tuple(factors)
+    return grid(realize_low_degree(Eigenstructure(1, rank, chain, tuple(cols), tuple(rows)), QQ))
+
+
 def test_blocks():
-    assert grid(kronecker_block(ColumnSingular(1), QQ)) == [["s", "1"]]
-    assert grid(kronecker_block(InfinityBlock(2), QQ)) == [["1", "s"], ["0", "1"]]
-    assert grid(kronecker_block(Companion(Poly.make([1, 0, 1], QQ)))) == [
-        ["s", "1"],
-        ["-1", "s"],
+    # one structural feature each: a column index, a multiplicity at
+    # infinity, a finite part and a row index
+    assert realized(1, cols=(1,)) == [["s", "1"]]
+    assert realized(2, [H([1], 2)]) == [["1", "s"], ["0", "1"]]
+    assert realized(2, [H([1, 0, 1])]) == [["s", "1"], ["-1", "s"]]
+    assert realized(2, rows=(2,)) == [["s", "0"], ["1", "s"], ["0", "1"]]
+    # block order: finite parts, infinity, column then row indices
+    assert realized(4, [H(S, 1)], cols=(1,), rows=(1,)) == [
+        ["s", "0", "0", "0", "0"],
+        ["0", "1", "0", "0", "0"],
+        ["0", "0", "s", "1", "0"],
+        ["0", "0", "0", "0", "s"],
+        ["0", "0", "0", "0", "1"],
     ]
-    assert grid(kronecker_block(RowSingular(2), QQ)) == [
-        ["s", "0"],
-        ["1", "s"],
-        ["0", "1"],
-    ]
-
-
-def test_block_validation():
-    with pytest.raises(ValueError):
-        InfinityBlock(0)
-    with pytest.raises(ValueError):
-        ColumnSingular(-1)
-    with pytest.raises(ValueError):
-        Companion(Poly.make([2, 2], QQ))  # not monic
-    with pytest.raises(ValueError):
-        kronecker_block(ColumnSingular(0), QQ)  # degenerate shape
 
 
 def test_block_structures():
-    # each block realizes exactly one structural feature
-    es = eigenstructure(kronecker_block(InfinityBlock(2), QQ))
-    assert es.inf_mults == (0, 2)
-    es = eigenstructure(kronecker_block(ColumnSingular(2), QQ))
-    assert es.col_indices == (2,) and es.row_indices == ()
-    es = eigenstructure(kronecker_block(Companion(Poly.make([1, 1, 1], QQ))))
-    assert [str(a) for a in es.alphas] == ["1", "1 + s + s^2"]
+    assert realized(2, cols=(2,)) == [["s", "1", "0"], ["0", "s", "1"]]
+    assert realized(2, [H([1, 1, 1])]) == [["1 + s", "1"], ["-1", "s"]]
+    # degree 0: an identity block, zero-padded
+    t = Eigenstructure(0, 2, (ONE, ONE), (0,), (0,))
+    assert grid(realize_low_degree(t, QQ)) == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]]
 
 
 def test_realize_examples():
@@ -80,13 +74,23 @@ def test_realize_rejects():
         realize_low_degree(Eigenstructure(1, 1, (H([1], 1),), (), ()), QQ)  # infeasible
     with pytest.raises(ValueError):
         realize_low_degree(Eigenstructure(2, 1, (H([0, 0, 1]),), (), ()), QQ)  # degree 2
+    # a GF(2) target asked for over Q, with no finite part to carry its field
+    with pytest.raises(FieldMismatchError):
+        realize_low_degree(Eigenstructure(1, 1, (homog_one(GF(2)),), (1,), ()), QQ)
 
 
-def test_realize_round_trip_gf2():
-    F = GF(2)
+ROUND_TRIP_GRIDS = [(GF(2), 2, 2), (GF(2), 2, 3), (GF(2), 3, 2), (GF(2), 3, 3), (GF(3), 2, 2), (QQ, 2, 2), (QQ, 2, 3)]
+
+
+@pytest.mark.parametrize(
+    "field, m, n, d",
+    [pytest.param(F, m, n, d, id=f"{F} {m}x{n} d={d}") for F, m, n in ROUND_TRIP_GRIDS for d in (0, 1)],
+)
+def test_realize_round_trip(field, m, n, d):
+    pool = (-1, 0, 1) if field.is_rational else None
     count = 0
-    for target in enumerate_targets(2, 2, 0, 1, F):
-        assert eigenstructure(realize_low_degree(target, F)) == target
+    for target in enumerate_targets(m, n, 0, d, field, coeff_pool=pool):
+        assert eigenstructure(realize_low_degree(target, field)) == target
         count += 1
     assert count > 0
 
@@ -103,6 +107,9 @@ def test_search_examples():
     # a degree-2 factor breaks the index sum of a degree-1 matrix
     s2 = HomogPoly(Poly.make([0, 0, 1], F), 0)
     assert search_realization(Eigenstructure(1, 1, (s2,), (), (0,)), F, 10**6) is None
+    # a GF(2) target searched for over GF(3)
+    with pytest.raises(FieldMismatchError):
+        search_realization(Eigenstructure(1, 1, (s_h,), (), (0,)), GF(3), 10**6)
 
 
 def test_search_budget():
@@ -110,8 +117,13 @@ def test_search_budget():
     target = Eigenstructure(1, 1, (homog_one(F),), (), (1,))
     with pytest.raises(BudgetExceededError):
         search_realization(target, F, 3)
-    with pytest.raises(ValueError):
-        search_realization(target, QQ, 10)
+    with pytest.raises(ValueError, match="finite field"):
+        search_realization(Eigenstructure(1, 1, (ONE,), (), (1,)), QQ, 10)
+    # 2^20000 candidates: the budget is read off the exponent, and the
+    # message has no decimal expansion
+    wide = Eigenstructure(1, 1, (homog_one(F),), (0,) * 99, (0,) * 99)
+    with pytest.raises(BudgetExceededError, match=r"2\^20000 candidates"):
+        search_realization(wide, F, 10**6)
 
 
 def test_enumerate_targets_examples():
