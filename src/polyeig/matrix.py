@@ -1,15 +1,16 @@
 """Polynomial matrices over an exact field and their eigenstructure.
 
 Covers degree, normal rank, Smith form, multiplicities at infinity and
-minimal indices (both read off ranks of block-Toeplitz systems, with no
-basis built), the assembled eigenstructure, and the first Frobenius
-companion linearization.
+minimal indices (read off the ranks of block-Toeplitz systems, one growing
+elimination per side, with no basis built), the assembled eigenstructure,
+and the first Frobenius companion linearization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import count
 from math import gcd, lcm
 
 from .fields import FieldTag, same_field
@@ -266,13 +267,7 @@ def _primitive(row):
     return [a // g for a in row] if g > 1 else row
 
 
-def _integer_row(row):
-    """A rational row scaled to integers by the lcm of its denominators."""
-    den = reduce(lcm, (c.denominator for c in row), 1)
-    return _primitive([c.numerator * (den // c.denominator) for c in row])
-
-
-def echelon(rows, field: FieldTag):
+def echelon(rows, field: FieldTag, basis=None):
     """Reduced row echelon form of the span of `rows` (lists of field
     elements) as (pivot column, row) pairs in pivot order, built one row at
     a time: a new row is reduced by the kept rows, and the kept rows by its
@@ -281,20 +276,29 @@ def echelon(rows, field: FieldTag):
     updated as piv * row - c * prow, so each kept row is its reduced row
     times a nonzero integer, with the same zero pattern and the same ratios
     to its pivot as in Gauss-Jordan over `Fraction`.
+
+    Given `basis`, a form returned earlier, the block `rows` extends it in
+    place, so its length is the rank after each block; the block may add
+    columns, zero in every kept row, which are padded to its width.
     """
     # The field branches stay inline: a helper call per reduction made the
     # oracle's row-space keys about a fifth slower.
     p = field.p
-    basis = []
-    for row in map(_integer_row, rows) if p is None else rows:
+    basis = [] if basis is None else basis
+    if basis and rows:
+        pad = [0] * (len(rows[0]) - len(basis[0][1]))
+        basis[:] = [(col, prow + pad) for col, prow in basis]
+    for row in _integer_polys(rows) if p is None else rows:
         for col, prow in basis:
             c = row[col]
             if c:
                 if p is None:
                     piv = prow[col]
-                    row = _primitive([piv * a - c * b for a, b in zip(row, prow)])
+                    row = [piv * a - c * b for a, b in zip(row, prow)]
                 else:
                     row = [(a - c * b) % p for a, b in zip(row, prow)]
+        if p is None:
+            row = _primitive(row)
         col = next((i for i, c in enumerate(row) if c), None)
         if col is None:
             continue
@@ -315,30 +319,25 @@ def echelon(rows, field: FieldTag):
     return basis
 
 
-def matrix_rank_constant(rows, field: FieldTag) -> int:
-    return len(echelon(rows, field))
-
-
 # --- block-Toeplitz systems: multiplicities at infinity, minimal indices ----
 
 
-def _convolution_rows(P: PolyMatrix, delta: int, d: int):
-    """Linear system over the field expressing P(s) x(s) = 0 with
-    deg x <= delta; unknowns are the n(delta+1) coefficients of x,
-    ascending degree blocks."""
-    f = P.field
-    m, n = P.rows, P.cols
-    coeff = [P.coefficient_matrix(k) for k in range(d + 1)]
-    rows = []
-    for k in range(d + delta + 1):
-        for i in range(m):
-            row = [f.zero] * (n * (delta + 1))
-            for j in range(max(0, k - d), min(delta, k) + 1):
-                ck = coeff[k - j]
-                for col in range(n):
-                    row[j * n + col] = ck[i][col]
-            rows.append(row)
-    return rows
+def _stacked_rows(P: PolyMatrix, d: int):
+    """The rows of [P_0 P_1 ... P_d] and of [P_0^T P_1^T ... P_d^T].  Over Q
+    each row of P is first scaled to integers by a constant: no rank changes."""
+    coeffs = [[list(e.coeffs) + [0] * (d + 1 - len(e.coeffs)) for e in row] for row in P.entries]
+    if P.field.p is None:
+        coeffs = [_integer_polys(row) for row in coeffs]
+    return [[[c for power in zip(*row) for c in power] for row in M] for M in (coeffs, zip(*coeffs))]
+
+
+def _ranks(base, step: int, field: FieldTag, skip: int = 0):
+    """Ranks after blocks 0, 1, 2, ... of one elimination: block j is `base`
+    shifted right by j * step zero columns, its first `skip` columns dropped."""
+    basis = []
+    for j in count():
+        echelon([([0] * (j * step) + row)[skip:] for row in base], field, basis)
+        yield len(basis)
 
 
 def _read_off(count, total, cap, what):
@@ -362,18 +361,16 @@ def infinite_multiplicities(P: PolyMatrix, *, _rank: int | None = None) -> tuple
     """Partial multiplicities of infinity: the t-adic valuations e_i of the
     Smith form of rev P(t) = t^d P(1/t), read off constant ranks.
 
-    The block-Toeplitz matrix T_k of the first k coefficients of rev P is,
-    up to block order, the last k block rows of the convolution system for
-    deg x <= k - 1.  Its rank is sum max(0, k - e_i) (Gohberg, Lancaster &
-    Rodman 1982).  Every e_i is at most r * d, so k stops by r * d + 1.
-    `_rank`, the normal rank, is for `eigenstructure`, which has it.
+    The block-Toeplitz matrix T_k of the first k coefficients of rev P has
+    rank sum max(0, k - e_i) (Gohberg, Lancaster & Rodman 1982).  Its block
+    row i holds P_(d-i+j) at block column j <= i, so one elimination fed the
+    block rows in turn gives every rank.  Every e_i is at most r * d, so k
+    stops by r * d + 1.  `_rank`: the normal rank, if known.
     """
     d = degree_of(P)
     r = rank_of(P) if _rank is None else _rank
-    mults = _read_off(
-        lambda k: matrix_rank_constant(_convolution_rows(P, k - 1, d)[d * P.rows:], P.field),
-        r, r * d + 1, "multiplicities at infinity",
-    )
+    ranks = _ranks(_stacked_rows(P, d)[0], P.cols, P.field, P.cols * d)
+    mults = _read_off(lambda k: next(ranks), r, r * d + 1, "multiplicities at infinity")
     if mults and mults[0] != 0:
         raise InternalError(f"multiplicities at infinity must rise from 0, found {mults}")
     return mults
@@ -387,17 +384,17 @@ def minimal_indices(P: PolyMatrix, *, _rank: int | None = None):
     of the convolution system C_delta.  A minimal basis has the
     predictable-degree property (Forney 1975), so with k = delta + 1,
     dim ker C_delta = n k - rank C_delta = sum max(0, k - eps_i) over the
-    column minimal indices eps_i, each at most r * d.  `_rank`, the normal
-    rank, is for `eigenstructure`, which has it.
+    column minimal indices eps_i, each at most r * d.  C_(delta+1)^T adds n
+    rows to C_delta^T, [P_0^T ... P_d^T] shifted by (delta + 1) m columns,
+    so one elimination per side gives every rank.  `_rank`: the normal rank.
     """
     r = rank_of(P) if _rank is None else _rank
     d = 0 if P.is_zero else degree_of(P)
-    return tuple(
-        _read_off(
-            lambda k: A.cols * k - matrix_rank_constant(_convolution_rows(A, k - 1, d), A.field),
-            A.cols - r, r * d + 1, f"{side} minimal indices",
-        )[::-1]
-        for A, side in ((P, "column"), (P.transpose(), "row"))
+    rows, cols = _stacked_rows(P, d)
+    col_ranks, row_ranks = _ranks(cols, P.rows, P.field), _ranks(rows, P.cols, P.field)
+    return (
+        _read_off(lambda k: P.cols * k - next(col_ranks), P.cols - r, r * d + 1, "column minimal indices")[::-1],
+        _read_off(lambda k: P.rows * k - next(row_ranks), P.rows - r, r * d + 1, "row minimal indices")[::-1],
     )
 
 
@@ -435,6 +432,7 @@ def companion_form(P: PolyMatrix) -> PolyMatrix:
 
     def pencil_entry(x1, y1):
         return Poly.make([y1, x1], f)
+
 
     rows = []
     for i in range(m):

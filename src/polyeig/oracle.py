@@ -12,9 +12,9 @@ finite structure (G is unimodular), the same infinite structure
 mapped by G^-T, so the same row minimal indices.  Two matrices of one shape
 whose coefficient stacks [M_0 M_1 ... M_d] have the same row space differ by
 such a G.  The eigenstructure is therefore computed once per shape, degree
-bound and reduced row echelon form of that stack.  The form comes from
-`matrix.echelon`, the kernel that also gives `eigenstructure` its constant
-ranks, and [P; W] is built only for a form not seen before.  The memo
+bound and reduced row echelon form of that stack: `matrix.echelon` fed the
+stack as one block (`eigenstructure` feeds it growing block-Toeplitz
+systems).  [P; W] is built only for a form not seen before.  The memo
 holding it, the target list and the checker verdicts live for one `run_grid`
 call (or one direct `achieved_set` / `check_instance` call) and no longer,
 and it uses the checkers bound in `CHECKERS` when the call starts.  With

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .feasibility import CompletionTarget, FeasibilityReport
-from .fields import GF, QQ, FieldTag
+from .fields import GF, QQ, FieldTag, is_digits
 from .homog import HomogPoly
 from .matrix import Eigenstructure, PolyMatrix
 from .poly import Poly
@@ -57,14 +57,16 @@ def emit_scalar(value, field: FieldTag):
 
 
 def parse_scalar(doc, field: FieldTag):
-    if field.is_rational:
-        if isinstance(doc, (int, str)) and not isinstance(doc, bool):
-            try:
-                return Fraction(doc)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise FormatError(f"bad rational {doc!r}") from exc
-        raise FormatError(f"bad rational {doc!r}")
-    return _int(doc, "field element") % field.p
+    """A JSON integer; over Q also an "a/b" string of ASCII digits, a with an
+    optional "-".  `Fraction` alone would expand "1e999999999" digit by digit."""
+    if not field.is_rational:
+        return _int(doc, "field element") % field.p
+    if isinstance(doc, int) and not isinstance(doc, bool):
+        return Fraction(doc)
+    num, slash, den = doc.partition("/") if isinstance(doc, str) else ("", "", "")
+    if not (slash and is_digits(num.removeprefix("-")) and is_digits(den) and den.strip("0")):
+        raise FormatError(f'bad rational {doc!r}: expected an integer or an "a/b" string, b > 0')
+    return Fraction(int(num), int(den))
 
 
 def emit_poly(p: Poly):

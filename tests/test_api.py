@@ -7,15 +7,16 @@ import polyeig
 # oracle's own row echelon form, now `matrix.echelon`, the checkers'
 # exponent vectors over a coprime base, now one lcm-degree table, and the
 # minimal bases that no caller used, now that both index lists are read off
-# ranks, and the Kronecker block classes, now built inside
-# `realize_low_degree`.
+# ranks, the Kronecker block classes, now built inside `realize_low_degree`,
+# and the per-delta rebuild of each block-Toeplitz system with its rank
+# wrapper, now one growing elimination per side.
 REMOVED = {
     "homog": ("HOMOG_ONE", "HOMOG_ZERO", "chain_at", "homog_lcm"),
     "poly": ("poly_lcm",),
     "feasibility": ("build_gaps_row_form", "build_gaps_col_form", "_check_gap_shape", "_coprime_base", "_vectors"),
     "matrix": (
         "is_column_reduced", "apply_matrix", "_coeff_block", "reversal",
-        "MinimalBasis", "nullspace", "right_minimal_basis",
+        "MinimalBasis", "nullspace", "right_minimal_basis", "matrix_rank_constant", "_convolution_rows",
     ),
     "oracle": ("_rref", "_stack_key", "grid_size"),
     "realize": (

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import polyeig
 from polyeig.cli import main
 
 MATRIX_S = {"field": "Q", "rows": 1, "cols": 1, "entries": [[[0, 1]]]}
@@ -206,6 +210,29 @@ def test_rational_scalars_roundtrip():
     doc = emit_matrix(P)
     assert doc["entries"][0][0] == ["1/2", 2]
     assert parse_matrix(doc) == P
+
+
+def test_rational_scalars_are_integers_or_fraction_strings(tmp_path):
+    from fractions import Fraction
+
+    from polyeig import QQ
+    from polyeig.serialize import FormatError, parse_scalar
+
+    for doc, value in ((5, 5), (-7, -7), ("1/2", Fraction(1, 2)), ("-3/4", Fraction(-3, 4)), ("6/4", Fraction(3, 2))):
+        assert parse_scalar(doc, QQ) == value
+    for doc in ("3", "1e5", "1.5", "+1/2", "1/-2", " 1/2", "1/0", "-/1", "1/", "1_0/1", "\u0661/2", 1.5, None, [1]):
+        with pytest.raises(FormatError):
+            parse_scalar(doc, QQ)
+    # Fraction reads exponent notation and would expand this one digit by
+    # digit; a fresh interpreter, so that such a regression times out
+    mp = write(tmp_path, "m.json", {**MATRIX_S, "entries": [[[0, "1e999999999"]]]})
+    src = os.path.dirname(os.path.dirname(polyeig.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyeig.cli", "eig", mp],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "bad rational '1e999999999'" in proc.stderr
 
 
 @pytest.mark.parametrize(

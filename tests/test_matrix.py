@@ -464,6 +464,51 @@ def test_echelon_is_the_reduced_form_of_the_row_space(case, data):
 
 
 @st.composite
+def block_sequences(draw):
+    """Row blocks over Q (non-integer entries) or GF(2), GF(3), GF(10007),
+    each with its width: a block may add columns, zero in every earlier
+    row, and holds random, zero and dependent rows, or none."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(10007)]))
+    if field.is_rational:
+        scalar = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    blocks, earlier, ncols = [], [], 0
+    for _ in range(draw(st.integers(1, 5))):
+        ncols += draw(st.integers(0 if ncols else 1, 3))
+        earlier = [row + [field.zero] * (ncols - len(row)) for row in earlier]
+        block = []
+        for _ in range(draw(st.integers(0, 3))):
+            kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+            if kind == "zero":
+                block.append([field.zero] * ncols)
+            elif kind == "dependent" and earlier + block:
+                a, b = draw(scalar), draw(scalar)
+                r1, r2 = draw(st.sampled_from(earlier + block)), draw(st.sampled_from(earlier + block))
+                block.append([field.add(field.mul(a, x), field.mul(b, y)) for x, y in zip(r1, r2)])
+            else:
+                block.append([field.coerce(draw(scalar)) for _ in range(ncols)])
+        earlier += block
+        blocks.append((block, ncols))
+    return blocks, field
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_sequences())
+def test_echelon_fed_in_blocks_gives_every_prefix_rank(case):
+    blocks, field = case
+    basis, stacked = [], []
+    for block, ncols in blocks:
+        assert echelon(block, field, basis) is basis
+        stacked = [row + [field.zero] * (ncols - len(row)) for row in stacked] + block
+        assert len(basis) == len(_gauss_jordan_rref(stacked, ncols, field)[0])
+    # the grown form is the form of the whole stack in one block, once a
+    # trailing block with no rows has had its columns padded on
+    ncols = blocks[-1][1]
+    assert [(col, row + [0] * (ncols - len(row))) for col, row in basis] == echelon(stacked, field)
+
+
+@st.composite
 def rational_matrices(draw):
     """Q matrices up to 4 x 5 and degree 2 with non-integer coefficients,
     sometimes with a row that is a polynomial multiple of another."""
@@ -626,9 +671,29 @@ from polyeig import QQ, InternalError, PolyMatrix, eigenstructure
 
 if __debug__:
     raise SystemExit("not running under -O")
-mx.matrix_rank_constant = lambda rows, field: 0
+# a kernel that keeps no row: every block-Toeplitz rank reads 0
+mx.echelon = lambda rows, field, basis=None: [] if basis is None else basis
 try:
     eigenstructure(PolyMatrix.make([[[0, 1], [1]]], QQ))
+except InternalError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InternalError")
+"""
+
+
+_FEED_ONE_BLOCK_SHORT = """
+import itertools
+import polyeig.matrix as mx
+from polyeig import QQ, InternalError, PolyMatrix, minimal_indices
+
+if __debug__:
+    raise SystemExit("not running under -O")
+real = mx._ranks
+# each count reads the rank of one block fewer than it asks for
+mx._ranks = lambda *args: itertools.chain([0], real(*args))
+try:
+    minimal_indices(PolyMatrix.make([[[0, 1], [1]]], QQ))
 except InternalError as exc:
     print(exc)
 else:
@@ -693,6 +758,7 @@ def test_internal_invariants_survive_optimize():
     for script, message in (
         (_NO_KERNEL_SEEN, "expected 1 column minimal indices"),
         (_ZERO_CONSTANT_RANKS, "multiplicities at infinity"),
+        (_FEED_ONE_BLOCK_SHORT, "expected 1 column minimal indices by k = 2"),
         (_EVERYTHING_DIVIDES, "divisibility chain"),
         (_WRONG_COMPANION, "realization round-trip failed"),
         (_OVERSIZE_COMPANION, "blocks exceed the requested dimensions"),
