@@ -60,9 +60,15 @@ def _budget(args) -> int:
 
 
 def _load_json(path: str):
+    def parse_int(text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's int() digit limit
+            raise CliError(EXIT_INPUT, f"{path}: integer {text[:20]}... has too many digits ({len(text)})") from None
+
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
     except OSError as exc:
         raise CliError(EXIT_INPUT, f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:

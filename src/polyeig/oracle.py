@@ -14,17 +14,24 @@ whose coefficient stacks [M_0 M_1 ... M_d] have the same row space differ by
 such a G.  The eigenstructure is therefore computed once per shape, degree
 bound and reduced row echelon form of that stack: `matrix.echelon` fed the
 stack as one block (`eigenstructure` feeds it growing block-Toeplitz
-systems).  [P; W] is built only for a form not seen before.  The memo
-holding it, the target list and the checker verdicts live for one `run_grid`
-call (or one direct `achieved_set` / `check_instance` call) and no longer,
-and it uses the checkers bound in `CHECKERS` when the call starts.  With
-``jobs > 1`` the matrices are cut into at most that many contiguous chunks,
-each worker keeps its own memo, and the results are joined in grid order;
-no more workers start than there are chunks or cores.
+systems).  [P; W] is built only for a form not seen before.  For the same
+reason W is enumerated modulo the row space of P's stack: adding constant
+multiples of P's rows to W is such a G, so only the W whose stack is zero
+at the pivot columns of P's form are formed, p^(z rho) times fewer for a
+stack of rank rho, and each is keyed by extending a copy of P's form.  The
+checkers run once per eigenstructure of P, theorem and distinct projection
+of the admissible targets, whose list is kept per shape and rank of P.  The
+memos live for one `run_grid` call (or one direct `achieved_set` /
+`check_instance` call) and no longer, and use the checkers bound in
+`CHECKERS` when the call starts.  With ``jobs > 1`` the matrices are cut
+into at most that many contiguous chunks, each worker keeps its own memo,
+and the results are joined in grid order; no more workers start than there
+are chunks or cores.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +40,7 @@ from operator import attrgetter
 from .feasibility import CHECKERS, PRESCRIBES, CompletionTarget
 from .fields import FieldTag, is_digits, parse_gf
 from .matrix import PolyMatrix, degree_of, echelon, eigenstructure, stack_rows
-from .realize import _ensure_budget, all_completion_rows, all_matrices, enumerate_targets
+from .realize import _ensure_budget, all_matrices, enumerate_targets
 from .sequences import ensure_ints
 
 THEOREMS = tuple(CHECKERS)
@@ -97,51 +104,64 @@ def _row_space(rows, field: FieldTag) -> tuple:
 
 
 class _GridContext:
-    """Memo for the matrices of one grid: eigenstructures by shape, degree
-    bound and row space of the coefficient stack, target lists by shape,
-    checker verdicts by projected target.  The checkers are a copy of
-    `checkers` (default `CHECKERS`) taken when the context is made."""
+    """Memo for the matrices of one grid, so of one z and one field:
+    eigenstructures by shape, degree bound and row space of the coefficient
+    stack, target lists by shape, and checker verdicts by eigenstructure of
+    P, then by theorem, in the order of `target_pairs`.  The checkers are a
+    copy of `checkers` (default `CHECKERS`) taken when the context is made."""
 
     def __init__(self, checkers=None):
         self.checkers = dict(CHECKERS if checkers is None else checkers)
         self.eigen = {}
         self.targets = {}
+        self.pairs = {}
         self.verdicts = {}
 
-    def eigenstructure(self, key, P: PolyMatrix, W: PolyMatrix | None = None):
-        """The eigenstructure under `key`; [P; W] is built only for a new key."""
+    def eigenstructure(self, key, P: PolyMatrix, w_rows=()):
+        """The eigenstructure under `key` of P stacked on the rows whose
+        coefficient stacks, to the degree bound key[2], are `w_rows`; the
+        matrix is built only for a new key."""
         es = self.eigen.get(key)
         if es is None:
-            es = self.eigen[key] = eigenstructure(P if W is None else stack_rows(P, W))
+            k = key[2] + 1
+            W = [[row[j * k : j * k + k] for j in range(P.cols)] for row in w_rows]
+            es = self.eigen[key] = eigenstructure(stack_rows(P, PolyMatrix.make(W, P.field)) if W else P)
         return es
 
-    def target_list(self, m: int, n: int, z: int, d: int, field: FieldTag):
-        key = (m, n, z, d, field)
-        if key not in self.targets:
-            self.targets[key] = list(enumerate_targets(m, n, z, d, field))
-        return self.targets[key]
-
-    def verdict(self, theorem: str, pinv, projected, cand, z: int) -> bool:
-        key = (theorem, pinv, projected)
-        if key not in self.verdicts:
-            target = target_from_eigenstructure(cand, z, theorem)
-            self.verdicts[key] = self.checkers[theorem](pinv, target).feasible
-        return self.verdicts[key]
+    def target_pairs(self, theorem: str, m: int, n: int, z: int, d: int, field: FieldTag, r: int):
+        """(projected target, first candidate) per distinct projection of the
+        targets with 0 <= rank - r <= min(z, n - r), in target-list order."""
+        key = (theorem, m, n, z, d, field, r)
+        if key not in self.pairs:
+            shape = key[1:6]
+            if shape not in self.targets:
+                self.targets[shape] = list(enumerate_targets(*shape))
+            firsts = {}
+            for cand in self.targets[shape]:
+                if 0 <= cand.rank - r <= min(z, n - r):
+                    firsts.setdefault(project(cand, theorem), cand)
+            self.pairs[key] = list(firsts.items())
+        return self.pairs[key]
 
 
 def achieved_set(P: PolyMatrix, z: int, dmax: int, *, _ctx: _GridContext | None = None):
     """Eigenstructures of all completions [P; W] with deg W <= dmax.
 
-    `_ctx` is the memo `run_grid` shares across a grid; without it a fresh
-    one is made."""
+    Only the W whose coefficient stack is zero at the pivot columns of P's
+    are formed; every other W is one of them plus constant multiples of P's
+    rows, with the same row-space key.  `_ctx` is the memo `run_grid`
+    shares across a grid; without it a fresh one is made."""
     ctx = _ctx if _ctx is not None else _GridContext()
     f = P.field
-    p_rows = list(_row_space(_coefficient_rows(P, dmax), f))
+    p_basis = echelon(_coefficient_rows(P, dmax), f)
+    pivots = {col for col, _ in p_basis}
+    choices = [(0,) if c in pivots else range(f.p) for c in range(P.cols * (dmax + 1))]
+    rows = [list(row) for row in itertools.product(*choices)]
     found = {}
-    for W in all_completion_rows(f, z, P.cols, dmax):
-        key = (P.rows + z, P.cols, dmax, _row_space(p_rows + _coefficient_rows(W, dmax), f))
+    for w_rows in itertools.product(rows, repeat=z):
+        key = (P.rows + z, P.cols, dmax, tuple(tuple(row) for _, row in echelon(w_rows, f, list(p_basis))))
         if key not in found:
-            found[key] = ctx.eigenstructure(key, P, W)
+            found[key] = ctx.eigenstructure(key, P, w_rows)
     return set(found.values())
 
 
@@ -168,21 +188,15 @@ def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridConte
     d = degree_of(P)
     pinv = ctx.eigenstructure((P.rows, P.cols, d, _row_space(_coefficient_rows(P, d), P.field)), P)
     achieved = achieved_set(P, z, d, _ctx=ctx)
-    r, n = pinv.rank, P.cols
-    targets = ctx.target_list(P.rows, n, z, d, P.field)
+    memo = ctx.verdicts.setdefault(pinv, {})
     mismatches = []
     for theorem in theorems:
+        pairs = ctx.target_pairs(theorem, P.rows, P.cols, z, d, P.field, pinv.rank)
+        if theorem not in memo:
+            check = ctx.checkers[theorem]
+            memo[theorem] = [check(pinv, target_from_eigenstructure(c, z, theorem)).feasible for _, c in pairs]
         truth = {project(es, theorem) for es in achieved}
-        seen = set()
-        for cand in targets:
-            x = cand.rank - r
-            if not 0 <= x <= min(z, n - r):
-                continue
-            key = project(cand, theorem)
-            if key in seen:
-                continue
-            seen.add(key)
-            verdict = ctx.verdict(theorem, pinv, key, cand, z)
+        for (key, cand), verdict in zip(pairs, memo[theorem]):
             if verdict != (key in truth):
                 mismatches.append(
                     {

@@ -66,7 +66,10 @@ def parse_scalar(doc, field: FieldTag):
     num, slash, den = doc.partition("/") if isinstance(doc, str) else ("", "", "")
     if not (slash and is_digits(num.removeprefix("-")) and is_digits(den) and den.strip("0")):
         raise FormatError(f'bad rational {doc!r}: expected an integer or an "a/b" string, b > 0')
-    return Fraction(int(num), int(den))
+    try:
+        return Fraction(int(num), int(den))
+    except ValueError:  # a part past the interpreter's int() digit limit
+        raise FormatError(f"bad rational {doc[:20]}... ({len(doc)} characters): a part has too many digits") from None
 
 
 def emit_poly(p: Poly):

@@ -235,6 +235,23 @@ def test_rational_scalars_are_integers_or_fraction_strings(tmp_path):
     assert "bad rational '1e999999999'" in proc.stderr
 
 
+def test_oversize_integers_are_input_errors(tmp_path, capsys):
+    # past the interpreter's int() digit limit (4,300 by default): the
+    # message names the file or the entry, not the interpreter setting
+    digits = "7" * 5000
+    p = tmp_path / "int.json"
+    p.write_text('{"field": "Q", "rows": 1, "cols": 1, "entries": [[[0, %s]]]}' % digits)
+    assert main(["eig", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert str(p) in err and "too many digits" in err and "set_int_max_str_digits" not in err
+    for entry in (f"1/{digits}", f"-{digits}/3"):
+        mp = write(tmp_path, "m.json", {**MATRIX_S, "entries": [[[0, entry]]]})
+        assert main(["eig", mp]) == 2
+        err = capsys.readouterr().err
+        assert f"bad rational {entry[:20]}" in err and "too many digits" in err
+        assert "set_int_max_str_digits" not in err
+
+
 @pytest.mark.parametrize(
     "doc",
     [

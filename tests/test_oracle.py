@@ -1,18 +1,22 @@
 """The memoised oracle against plain exhaustive search, planted checkers and
-parallel runs, plus zero-mismatch runs on the first GF(3) grid and the first
-grid with rank excess 2."""
+parallel runs, plus zero-mismatch runs on the first GF(3) grid, the first
+grid with rank excess 2 and the first GF(3) grid with gap sequences of
+length 2."""
+
+import itertools
 
 import pytest
 
 import polyeig.oracle as oracle
 from polyeig import GF, QQ, eigenstructure, stack_rows
 from polyeig.feasibility import FeasibilityReport
+from polyeig.matrix import degree_of, echelon
 from polyeig.oracle import GridSpec, achieved_set, all_matrices, run_grid
-from polyeig.realize import all_completion_rows
+from polyeig.realize import all_completion_rows, enumerate_targets
 
-# the criterion-3 grids, then the two benchmark grids
+# the criterion-3 grids, the two benchmark grids, then GF(3) with z = 2
 ACHIEVED_GRIDS = [f"gf2 m={m} n={n} z=1 d={d}" for m, n, d in [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 2, 1)]]
-ACHIEVED_GRIDS += ["gf3 m=1 n=2 z=1 d=1", "gf2 m=1 n=2 z=2 d=1"]
+ACHIEVED_GRIDS += ["gf3 m=1 n=2 z=1 d=1", "gf2 m=1 n=2 z=2 d=1", "gf3 m=1 n=1 z=2 d=1"]
 
 PLANT_GRID = GridSpec.parse("gf2 m=1 n=2 z=1 d=1")
 
@@ -47,9 +51,83 @@ def test_parallel_run_matches_serial(monkeypatch):
     assert run_grid(PLANT_GRID, jobs=2) == serial
 
 
-@pytest.mark.parametrize("grid", ["gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=2 d=1"])
+@pytest.mark.parametrize("grid", ["gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=2 d=1", "gf3 m=1 n=2 z=2 d=1"])
 def test_no_mismatches_on_wider_grid(grid):
     assert run_grid(GridSpec.parse(grid)) == []
+
+
+def negated(check):
+    return lambda pinv, target: FeasibilityReport(("negated",) if check(pinv, target).feasible else ())
+
+
+def plain_records(P, z, checkers):
+    """`check_instance`'s records with no memo and every W: each admissible
+    target whose projection is new, in target order, then the checker."""
+    d, n = degree_of(P), P.cols
+    pinv = eigenstructure(P)
+    achieved = [eigenstructure(stack_rows(P, W)) for W in all_completion_rows(P.field, z, n, d)]
+    records = []
+    for theorem in oracle.THEOREMS:
+        truth = [oracle.project(es, theorem) for es in achieved]
+        seen = []
+        for cand in enumerate_targets(P.rows, n, z, d, P.field):
+            key = oracle.project(cand, theorem)
+            if not 0 <= cand.rank - pinv.rank <= min(z, n - pinv.rank) or key in seen:
+                continue
+            seen.append(key)
+            verdict = checkers[theorem](pinv, oracle.target_from_eigenstructure(cand, z, theorem)).feasible
+            if verdict != (key in truth):
+                records.append(
+                    {"matrix": P, "theorem": theorem, "target": cand, "checker": verdict, "search": key in truth}
+                )
+    return records
+
+
+@pytest.mark.parametrize("grid", ["gf2 m=1 n=2 z=1 d=1", "gf3 m=1 n=1 z=2 d=1"])
+def test_records_follow_target_order_without_memo(grid, monkeypatch):
+    # negated checkers disagree with brute force on every admissible target,
+    # so the records list each (theorem, distinct projection) in order
+    checkers = {theorem: negated(check) for theorem, check in oracle.CHECKERS.items()}
+    g = GridSpec.parse(grid)
+    expected = [rec for P in all_matrices(g.m, g.n, g.d, g.field) for rec in plain_records(P, g.z, checkers)]
+    for theorem, check in checkers.items():
+        monkeypatch.setitem(oracle.CHECKERS, theorem, check)
+    assert expected and run_grid(g) == expected
+
+
+def test_records_leave_out_targets_past_the_window(monkeypatch):
+    # rank-deficient P with n - r > z: targets of rank r + z + 1 exist, and
+    # only the admissibility window leaves them out
+    checkers = {theorem: negated(check) for theorem, check in oracle.CHECKERS.items()}
+    mats = list(itertools.islice((P for P in all_matrices(2, 3, 1, GF(2)) if eigenstructure(P).rank == 1), 4))
+    expected = [plain_records(P, 1, checkers) for P in mats]
+    for theorem, check in checkers.items():
+        monkeypatch.setitem(oracle.CHECKERS, theorem, check)
+    ctx = oracle._GridContext()
+    assert all(expected) and [oracle.check_instance(P, 1, _ctx=ctx) for P in mats] == expected
+
+
+@pytest.mark.parametrize("grid", ["gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=1 d=1"])
+def test_completions_enumerated_modulo_row_space(grid, monkeypatch):
+    # one row-space key per W with zero stack entries at P's pivot columns:
+    # p^(z (n (d+1) - rho)) of them, rho the rank of P's coefficient stack
+    g = GridSpec.parse(grid)
+    keys = []
+
+    def counting(rows, field, basis=None):
+        keys.append(basis is not None)
+        return echelon(rows, field, basis)
+
+    monkeypatch.setattr(oracle, "echelon", counting)
+    ranks = set()
+    for P in all_matrices(g.m, g.n, g.d, g.field):
+        stack = [[c for e in row for c in (e.coeffs + (0,) * (g.d + 1))[: g.d + 1]] for row in P.entries]
+        rho = len(echelon(stack, g.field))
+        ranks.add(rho)
+        keys.clear()
+        achieved_set(P, g.z, g.d)
+        assert sum(keys) == g.field.p ** (g.z * (g.n * (g.d + 1) - rho)), str(P)
+    assert len(ranks) == (1 if g.m == 1 else 2)
 
 
 def test_one_theorem_table():
