@@ -122,9 +122,6 @@ def cmd_realize(args) -> int:
         return EXIT_OK
     if field.is_rational:
         raise CliError(EXIT_INPUT, "--search requires a finite field (e.g. --field gf2)")
-    if _count(args.max_deg, "--max-deg") < target.degree:
-        _emit({"result": "not-found", "reason": "target degree exceeds --max-deg"})
-        return EXIT_INFEASIBLE
     P = search_realization(target, field, _budget(args))
     if P is None:
         size = search_space_size(field, target.nrows, target.ncols, target.degree)
@@ -184,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_real.add_argument("--target", required=True, help="full eigenstructure JSON file")
     p_real.add_argument("--field", default="q", help="coefficient field: q or gf<p>")
     p_real.add_argument("--search", action="store_true", help="exhaustive search over a finite field")
-    p_real.add_argument("--max-deg", default="1", help="degree bound for --search")
     p_real.add_argument("--budget", default=None, help="candidate cap for --search")
     p_real.set_defaults(func=cmd_realize)
 
@@ -205,11 +201,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ValueError as exc:
-        if isinstance(exc, (ZeroMatrixError, ConstantMatrixError, FieldMismatchError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_DOMAIN if isinstance(exc, (ZeroMatrixError, ConstantMatrixError, FieldMismatchError)) else EXIT_INPUT
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

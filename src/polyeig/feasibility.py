@@ -273,6 +273,14 @@ def _prefix_cuts(c, a):
     return ell, sum_ok, tail_ok
 
 
+def _free_col_cuts(c, a):
+    """With the column indices free, some dd with c <' (dd, a) must exist:
+    the threshold ell of the prefix cuts and the violated ones, in the
+    order c-sum-ell, c-sum-tail."""
+    ell, sum_ok, tail_ok = _prefix_cuts(c, a)
+    return ell, [name for name, ok in (("c-sum-ell", sum_ok), ("c-sum-tail", tail_ok)) if not ok]
+
+
 def _chain_check(pinv: Eigenstructure, target: CompletionTarget, theorem: str, col_form: bool):
     """The theorems that prescribe the homogeneous chain with one or both
     minimal index lists.  A condition applies when `theorem` prescribes the
@@ -310,11 +318,8 @@ def _chain_check(pinv: Eigenstructure, target: CompletionTarget, theorem: str, c
             if not _holds(majorizes, c, a):
                 violations.append("c-majorization")
         else:
-            details["ell"], sum_ok, tail_ok = _prefix_cuts(c, a)
-            if not sum_ok:
-                violations.append("c-sum-ell")
-            if not tail_ok:
-                violations.append("c-sum-tail")
+            details["ell"], cuts = _free_col_cuts(c, a)
+            violations += cuts
     return FeasibilityReport(tuple(violations), details)
 
 
@@ -401,12 +406,8 @@ def check_hom_only(pinv: Eigenstructure, target: CompletionTarget) -> Feasibilit
     if not _interlaces(t, z):
         violations.append("interlacing")
     a, _ = _gaps(t, sum(t[2]), x, z, d)
-    ell, sum_ok, tail_ok = _prefix_cuts(c, a)
-    if not sum_ok:
-        violations.append("c-sum-ell")
-    if not tail_ok:
-        violations.append("c-sum-tail")
-    return FeasibilityReport(tuple(violations), {"x": x, "ell": ell})
+    ell, cuts = _free_col_cuts(c, a)
+    return FeasibilityReport(tuple(violations + cuts), {"x": x, "ell": ell})
 
 
 def check_finite_only(pinv: Eigenstructure, target: CompletionTarget) -> FeasibilityReport:

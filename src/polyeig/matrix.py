@@ -139,6 +139,26 @@ def stack_rows(P: PolyMatrix, W: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(P.entries + W.entries, P.field)
 
 
+def _coefficient_lists(P: PolyMatrix):
+    """P's entries as ascending coefficient lists, the one form in which
+    every elimination reads P.  Over Q each row is scaled by a positive
+    constant to primitive integer polynomials: a unit of Q[s], so no
+    invariant factor and no rank changes."""
+    A = [[list(e.coeffs) for e in row] for row in P.entries]
+    if P.field.p is None:
+        for i, row in enumerate(A):
+            den = reduce(lcm, (c.denominator for e in row for c in e), 1)
+            A[i] = _content_free([[c.numerator * (den // c.denominator) for c in e] for e in row])
+    return A
+
+
+def _coefficient_stack(A, d: int):
+    """The rows of [M_0 M_1 ... M_d] for the matrix M with coefficient
+    lists A (rows of lists of length at most d + 1), columns in (power,
+    entry) order: entry j of a row of an n-column M is row[j::n]."""
+    return [[c for power in zip(*[e + [0] * (d + 1 - len(e)) for e in row]) for c in power] for row in A]
+
+
 def smith_form(P: PolyMatrix) -> tuple:
     """Monic invariant factors a_1 | ... | a_r (r = rank), by gcd-pivot
     elimination on coefficient lists.
@@ -158,9 +178,7 @@ def smith_form(P: PolyMatrix) -> tuple:
     """
     field = P.field
     p = field.p
-    A = [[list(e.coeffs) for e in row] for row in P.entries]
-    if p is None:
-        A = [_integer_polys(row) for row in A]
+    A = _coefficient_lists(P)
     diag = []
     while A and A[0]:
         while True:
@@ -217,12 +235,6 @@ def _content_free(polys):
     return [[c // g for c in e] for e in polys] if g > 1 else polys
 
 
-def _integer_polys(polys):
-    """Rational polynomials scaled to primitive integer ones by a common factor."""
-    den = reduce(lcm, (c.denominator for e in polys for c in e), 1)
-    return _content_free([[c.numerator * (den // c.denominator) for c in e] for e in polys])
-
-
 def _reduce_first_column(A, p):
     """Reduce each A[i][0], i >= 1, by the pivot A[0][0] with row
     operations, one leading term at a time; over Q each reduced row is made
@@ -272,10 +284,11 @@ def echelon(rows, field: FieldTag, basis=None):
     elements) as (pivot column, row) pairs in pivot order, built one row at
     a time: a new row is reduced by the kept rows, and the kept rows by its
     pivot.  Zero rows are dropped.  Over GF(p) each pivot is 1.  Over Q the
-    elimination is fraction free (Bareiss 1968): primitive integer rows,
-    updated as piv * row - c * prow, so each kept row is its reduced row
-    times a nonzero integer, with the same zero pattern and the same ratios
-    to its pivot as in Gauss-Jordan over `Fraction`.
+    rows are integers and the elimination is fraction free (Bareiss 1968):
+    rows updated as piv * row - c * prow and made primitive, so each kept
+    row is its reduced row times a nonzero integer, with the same zero
+    pattern and the same ratios to its pivot as in Gauss-Jordan over
+    `Fraction`.
 
     Given `basis`, a form returned earlier, the block `rows` extends it in
     place, so its length is the rank after each block; the block may add
@@ -288,7 +301,7 @@ def echelon(rows, field: FieldTag, basis=None):
     if basis and rows:
         pad = [0] * (len(rows[0]) - len(basis[0][1]))
         basis[:] = [(col, prow + pad) for col, prow in basis]
-    for row in _integer_polys(rows) if p is None else rows:
+    for row in rows:
         for col, prow in basis:
             c = row[col]
             if c:
@@ -320,15 +333,6 @@ def echelon(rows, field: FieldTag, basis=None):
 
 
 # --- block-Toeplitz systems: multiplicities at infinity, minimal indices ----
-
-
-def _stacked_rows(P: PolyMatrix, d: int):
-    """The rows of [P_0 P_1 ... P_d] and of [P_0^T P_1^T ... P_d^T].  Over Q
-    each row of P is first scaled to integers by a constant: no rank changes."""
-    coeffs = [[list(e.coeffs) + [0] * (d + 1 - len(e.coeffs)) for e in row] for row in P.entries]
-    if P.field.p is None:
-        coeffs = [_integer_polys(row) for row in coeffs]
-    return [[[c for power in zip(*row) for c in power] for row in M] for M in (coeffs, zip(*coeffs))]
 
 
 def _ranks(base, step: int, field: FieldTag, skip: int = 0):
@@ -369,7 +373,7 @@ def infinite_multiplicities(P: PolyMatrix, *, _rank: int | None = None) -> tuple
     """
     d = degree_of(P)
     r = rank_of(P) if _rank is None else _rank
-    ranks = _ranks(_stacked_rows(P, d)[0], P.cols, P.field, P.cols * d)
+    ranks = _ranks(_coefficient_stack(_coefficient_lists(P), d), P.cols, P.field, P.cols * d)
     mults = _read_off(lambda k: next(ranks), r, r * d + 1, "multiplicities at infinity")
     if mults and mults[0] != 0:
         raise InternalError(f"multiplicities at infinity must rise from 0, found {mults}")
@@ -390,8 +394,9 @@ def minimal_indices(P: PolyMatrix, *, _rank: int | None = None):
     """
     r = rank_of(P) if _rank is None else _rank
     d = 0 if P.is_zero else degree_of(P)
-    rows, cols = _stacked_rows(P, d)
-    col_ranks, row_ranks = _ranks(cols, P.rows, P.field), _ranks(rows, P.cols, P.field)
+    A = _coefficient_lists(P)
+    col_ranks = _ranks(_coefficient_stack(zip(*A), d), P.rows, P.field)
+    row_ranks = _ranks(_coefficient_stack(A, d), P.cols, P.field)
     return (
         _read_off(lambda k: P.cols * k - next(col_ranks), P.cols - r, r * d + 1, "column minimal indices")[::-1],
         _read_off(lambda k: P.rows * k - next(row_ranks), P.rows - r, r * d + 1, "row minimal indices")[::-1],

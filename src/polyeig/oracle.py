@@ -12,9 +12,11 @@ finite structure (G is unimodular), the same infinite structure
 mapped by G^-T, so the same row minimal indices.  Two matrices of one shape
 whose coefficient stacks [M_0 M_1 ... M_d] have the same row space differ by
 such a G.  The eigenstructure is therefore computed once per shape, degree
-bound and reduced row echelon form of that stack: `matrix.echelon` fed the
-stack as one block (`eigenstructure` feeds it growing block-Toeplitz
-systems).  [P; W] is built only for a form not seen before.  For the same
+bound and reduced row echelon form of that stack: the stack the matrix
+layer reads P's block-Toeplitz ranks from (`matrix._coefficient_stack` on
+`matrix._coefficient_lists`, columns in (power, entry) order), fed to
+`matrix.echelon` as one block.  W is rebuilt from its stack, entry j of an
+n-column row being row[j::n], only for a form not seen before.  For the same
 reason W is enumerated modulo the row space of P's stack: adding constant
 multiples of P's rows to W is such a G, so only the W whose stack is zero
 at the pivot columns of P's form are formed, p^(z rho) times fewer for a
@@ -39,7 +41,7 @@ from operator import attrgetter
 
 from .feasibility import CHECKERS, PRESCRIBES, CompletionTarget
 from .fields import FieldTag, is_digits, parse_gf
-from .matrix import PolyMatrix, degree_of, echelon, eigenstructure, stack_rows
+from .matrix import PolyMatrix, _coefficient_lists, _coefficient_stack, degree_of, echelon, eigenstructure, stack_rows
 from .realize import _ensure_budget, all_matrices, enumerate_targets
 from .sequences import ensure_ints
 
@@ -90,19 +92,6 @@ class GridSpec:
         return GridSpec(field, vals["m"], vals["n"], vals["z"], vals["d"])
 
 
-def _coefficient_rows(M: PolyMatrix, dmax: int):
-    """The rows of the coefficient stack [M_0 M_1 ... M_dmax], columns
-    ordered by (entry, power): a fixed permutation, so equal row spaces
-    stay equal and distinct ones distinct."""
-    pad = (0,) * (dmax + 1)
-    return [[c for e in row for c in (e.coeffs + pad)[: dmax + 1]] for row in M.entries]
-
-
-def _row_space(rows, field: FieldTag) -> tuple:
-    """The reduced row echelon form of the span of `rows`, as a key."""
-    return tuple(tuple(row) for _, row in echelon(rows, field))
-
-
 class _GridContext:
     """Memo for the matrices of one grid, so of one z and one field:
     eigenstructures by shape, degree bound and row space of the coefficient
@@ -119,12 +108,11 @@ class _GridContext:
 
     def eigenstructure(self, key, P: PolyMatrix, w_rows=()):
         """The eigenstructure under `key` of P stacked on the rows whose
-        coefficient stacks, to the degree bound key[2], are `w_rows`; the
-        matrix is built only for a new key."""
+        coefficient stacks are `w_rows`; the matrix is built only for a new
+        key."""
         es = self.eigen.get(key)
         if es is None:
-            k = key[2] + 1
-            W = [[row[j * k : j * k + k] for j in range(P.cols)] for row in w_rows]
+            W = [[row[j :: P.cols] for j in range(P.cols)] for row in w_rows]
             es = self.eigen[key] = eigenstructure(stack_rows(P, PolyMatrix.make(W, P.field)) if W else P)
         return es
 
@@ -153,7 +141,7 @@ def achieved_set(P: PolyMatrix, z: int, dmax: int, *, _ctx: _GridContext | None 
     shares across a grid; without it a fresh one is made."""
     ctx = _ctx if _ctx is not None else _GridContext()
     f = P.field
-    p_basis = echelon(_coefficient_rows(P, dmax), f)
+    p_basis = echelon(_coefficient_stack(_coefficient_lists(P), dmax), f)
     pivots = {col for col, _ in p_basis}
     choices = [(0,) if c in pivots else range(f.p) for c in range(P.cols * (dmax + 1))]
     rows = [list(row) for row in itertools.product(*choices)]
@@ -186,7 +174,8 @@ def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridConte
     """
     ctx = _ctx if _ctx is not None else _GridContext()
     d = degree_of(P)
-    pinv = ctx.eigenstructure((P.rows, P.cols, d, _row_space(_coefficient_rows(P, d), P.field)), P)
+    p_form = echelon(_coefficient_stack(_coefficient_lists(P), d), P.field)
+    pinv = ctx.eigenstructure((P.rows, P.cols, d, tuple(tuple(row) for _, row in p_form)), P)
     achieved = achieved_set(P, z, d, _ctx=ctx)
     memo = ctx.verdicts.setdefault(pinv, {})
     mismatches = []

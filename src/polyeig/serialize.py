@@ -176,14 +176,9 @@ def parse_target(doc, z: int, field: FieldTag) -> CompletionTarget:
 
 
 def emit_report(rep: FeasibilityReport):
-    details = {}
-    for key, val in rep.details.items():
-        if isinstance(val, tuple):
-            details[key] = list(val)
-        else:
-            details[key] = val
+    # json.dump writes tuples as arrays
     return {
         "feasible": rep.feasible,
-        "violations": list(rep.violations),
-        "details": details,
+        "violations": rep.violations,
+        "details": rep.details,
     }

@@ -8,8 +8,10 @@ import polyeig
 # exponent vectors over a coprime base, now one lcm-degree table, and the
 # minimal bases that no caller used, now that both index lists are read off
 # ranks, the Kronecker block classes, now built inside `realize_low_degree`,
-# and the per-delta rebuild of each block-Toeplitz system with its rank
-# wrapper, now one growing elimination per side.
+# the per-delta rebuild of each block-Toeplitz system with its rank
+# wrapper, now one growing elimination per side, and the coefficient stacks
+# that the matrix layer and the oracle each laid out, now one reader and
+# one stack builder in `matrix`.
 REMOVED = {
     "homog": ("HOMOG_ONE", "HOMOG_ZERO", "chain_at", "homog_lcm"),
     "poly": ("poly_lcm",),
@@ -17,8 +19,9 @@ REMOVED = {
     "matrix": (
         "is_column_reduced", "apply_matrix", "_coeff_block", "reversal",
         "MinimalBasis", "nullspace", "right_minimal_basis", "matrix_rank_constant", "_convolution_rows",
+        "_stacked_rows",
     ),
-    "oracle": ("_rref", "_stack_key", "grid_size"),
+    "oracle": ("_rref", "_stack_key", "grid_size", "_coefficient_rows", "_row_space"),
     "realize": (
         "SearchBudget", "search_completion",
         "Companion", "InfinityBlock", "ColumnSingular", "RowSingular", "kronecker_block",

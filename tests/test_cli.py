@@ -142,13 +142,15 @@ def test_realize_unsorted_indices_is_input_error(tmp_path, capsys):
 
 
 def test_realize_search(tmp_path, capsys):
-    t = write(
-        tmp_path,
-        "t.json",
-        {"degree": 2, "rank": 1, "hom_factors": [{"alpha": [0, 0, 1], "e": 0}], "col_indices": [], "row_indices": []},
-    )
-    code, doc = run(capsys, "realize", "--target", t, "--search", "--field", "gf2", "--max-deg", "2")
-    assert code == 0 and doc["entries"] == [[[0, 0, 1]]]
+    # the search runs at the target's own degree, 2 and 3 here, with no flag
+    for alpha in ([0, 0, 1], [0, 0, 0, 1]):
+        t = write(
+            tmp_path,
+            "t.json",
+            {"degree": len(alpha) - 1, "rank": 1, "hom_factors": [{"alpha": alpha, "e": 0}], "col_indices": [], "row_indices": []},
+        )
+        code, doc = run(capsys, "realize", "--target", t, "--search", "--field", "gf2")
+        assert code == 0 and doc["entries"] == [[alpha]]
 
 
 def test_realize_search_budget(tmp_path, capsys, monkeypatch):
@@ -158,7 +160,7 @@ def test_realize_search_budget(tmp_path, capsys, monkeypatch):
         "t.json",
         {"degree": 2, "rank": 1, "hom_factors": [{"alpha": [0, 0, 1], "e": 0}], "col_indices": [], "row_indices": []},
     )
-    assert main(["realize", "--target", t, "--search", "--field", "gf2", "--max-deg", "2"]) == 4
+    assert main(["realize", "--target", t, "--search", "--field", "gf2"]) == 4
     capsys.readouterr()
 
 
@@ -349,7 +351,6 @@ def test_cli_integers_are_strict(tmp_path, capsys, monkeypatch, raw):
         ["oracle", grid, f"--budget={raw}"],
         ["oracle", grid, f"--jobs={raw}"],
         [*search, f"--budget={raw}"],
-        [*search, f"--max-deg={raw}"],
         ["check", mp, f"--add-rows={raw}", "--target", t],
     ):
         assert main(argv) == 2, argv

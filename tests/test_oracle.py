@@ -10,7 +10,7 @@ import pytest
 import polyeig.oracle as oracle
 from polyeig import GF, QQ, eigenstructure, stack_rows
 from polyeig.feasibility import FeasibilityReport
-from polyeig.matrix import degree_of, echelon
+from polyeig.matrix import _coefficient_lists, _coefficient_stack, degree_of, echelon
 from polyeig.oracle import GridSpec, achieved_set, all_matrices, run_grid
 from polyeig.realize import all_completion_rows, enumerate_targets
 
@@ -121,8 +121,7 @@ def test_completions_enumerated_modulo_row_space(grid, monkeypatch):
     monkeypatch.setattr(oracle, "echelon", counting)
     ranks = set()
     for P in all_matrices(g.m, g.n, g.d, g.field):
-        stack = [[c for e in row for c in (e.coeffs + (0,) * (g.d + 1))[: g.d + 1]] for row in P.entries]
-        rho = len(echelon(stack, g.field))
+        rho = len(echelon(_coefficient_stack(_coefficient_lists(P), g.d), g.field))
         ranks.add(rho)
         keys.clear()
         achieved_set(P, g.z, g.d)
