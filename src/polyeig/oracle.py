@@ -5,30 +5,40 @@ achievable by stacking z extra rows is computed by brute force and compared,
 theorem by theorem, against the corresponding checker's verdict on every
 a-priori admissible target.  Any disagreement is reported as a mismatch.
 
-Most completions [P; W] share their eigenstructure, and the reason is exact:
-for a constant invertible G, the matrix G·M has the same degree, the same
-finite structure (G is unimodular), the same infinite structure
-(rev(G·M) = G·rev M), the same right null space, and left minimal bases
-mapped by G^-T, so the same row minimal indices.  Two matrices of one shape
-whose coefficient stacks [M_0 M_1 ... M_d] have the same row space differ by
-such a G.  The eigenstructure is therefore computed once per shape, degree
-bound and reduced row echelon form of that stack: the stack the matrix
-layer reads P's block-Toeplitz ranks from (`matrix._coefficient_stack` on
+Most of that work repeats, and the reason is exact: for a constant
+invertible G, the matrix G·M has the same degree, the same finite structure
+(G is unimodular), the same infinite structure (rev(G·M) = G·rev M), the
+same right null space, and left minimal bases mapped by G^-T, so the same
+row minimal indices.  Two matrices of one shape whose coefficient stacks
+[M_0 M_1 ... M_d] have the same row space differ by such a G.  So the
+eigenstructure is computed once per shape, degree bound and reduced row
+echelon form of that stack: the stack the matrix layer reads P's
+block-Toeplitz ranks from (`matrix._coefficient_stack` on
 `matrix._coefficient_lists`, columns in (power, entry) order), fed to
-`matrix.echelon` as one block.  W is rebuilt from its stack, entry j of an
-n-column row being row[j::n], only for a form not seen before.  For the same
-reason W is enumerated modulo the row space of P's stack: adding constant
-multiples of P's rows to W is such a G, so only the W whose stack is zero
-at the pivot columns of P's form are formed, p^(z rho) times fewer for a
-stack of rank rho, and each is keyed by extending a copy of P's form.  The
-checkers run once per eigenstructure of P, theorem and distinct projection
-of the admissible targets, whose list is kept per shape and rank of P.  The
-memos live for one `run_grid` call (or one direct `achieved_set` /
-`check_instance` call) and no longer, and use the checkers bound in
-`CHECKERS` when the call starts.  With ``jobs > 1`` the matrices are cut
-into at most that many contiguous chunks, each worker keeps its own memo,
-and the results are joined in grid order; no more workers start than there
-are chunks or cores.
+`matrix.echelon` as one block.
+
+Two consequences shape the search.  The matrices P with one stack row
+space U (a class: all G·P among them) have the same achieved set and the
+same verdicts, so `check_instance` works them out once per class and only
+rebuilds the records of the class's other matrices.  And [P; W] has the
+stack row space V = U + span(W), so the achieved set needs one completion
+per subspace V ⊇ U with dim V - dim U <= z, not one per W.  Each such V is
+U plus one subspace of the vectors that are zero at the pivot columns of
+U's form, a space of dimension q = n (d + 1) - rho for a stack of rank rho.
+`achieved_set` forms one W per subspace of dimension k <= z, its reduced
+echelon basis padded with zero rows, and keys it by extending a copy of
+U's form: sum_{k <= z} [q choose k]_p Gaussian binomials of them, in place
+of p^(z q) tuples W.  W is rebuilt from its stack, entry j of an n-column
+row being row[j::n], only for a form not seen before.  The targets, and
+their `CompletionTarget`s, are built once per shape; the checkers run once
+per eigenstructure of P, theorem and distinct projection of the admissible
+targets, whose list is kept per shape and rank of P.  The memos live for
+one `run_grid` call (or one direct `achieved_set` / `check_instance` call)
+and no longer, and use the checkers bound in `CHECKERS` when the call
+starts.  With ``jobs > 1`` the matrices are cut into at most that many
+contiguous chunks, each worker keeps its own memo, and the results are
+joined in grid order; no more workers start than there are chunks or
+cores.
 """
 
 from __future__ import annotations
@@ -42,7 +52,7 @@ from operator import attrgetter
 from .feasibility import CHECKERS, PRESCRIBES, CompletionTarget
 from .fields import FieldTag, is_digits, parse_gf
 from .matrix import PolyMatrix, _coefficient_lists, _coefficient_stack, degree_of, echelon, eigenstructure, stack_rows
-from .realize import _ensure_budget, all_matrices, enumerate_targets
+from .realize import BudgetExceededError, all_matrices, enumerate_targets
 from .sequences import ensure_ints
 
 THEOREMS = tuple(CHECKERS)
@@ -95,8 +105,9 @@ class GridSpec:
 class _GridContext:
     """Memo for the matrices of one grid, so of one z and one field:
     eigenstructures by shape, degree bound and row space of the coefficient
-    stack, target lists by shape, and checker verdicts by eigenstructure of
-    P, then by theorem, in the order of `target_pairs`.  The checkers are a
+    stack, target lists by shape, checker verdicts by eigenstructure of P,
+    and mismatch entries by class of P (the key of P's own eigenstructure),
+    then by theorem, in the order of `target_pairs`.  The checkers are a
     copy of `checkers` (default `CHECKERS`) taken when the context is made."""
 
     def __init__(self, checkers=None):
@@ -105,20 +116,23 @@ class _GridContext:
         self.targets = {}
         self.pairs = {}
         self.verdicts = {}
+        self.classes = {}
 
     def eigenstructure(self, key, P: PolyMatrix, w_rows=()):
         """The eigenstructure under `key` of P stacked on the rows whose
-        coefficient stacks are `w_rows`; the matrix is built only for a new
-        key."""
+        coefficient stacks are `w_rows`, padded with zero rows to the key's
+        row count; the matrix is built only for a new key."""
         es = self.eigen.get(key)
         if es is None:
             W = [[row[j :: P.cols] for j in range(P.cols)] for row in w_rows]
+            W += [[[0]] * P.cols] * (key[0] - P.rows - len(W))
             es = self.eigen[key] = eigenstructure(stack_rows(P, PolyMatrix.make(W, P.field)) if W else P)
         return es
 
     def target_pairs(self, theorem: str, m: int, n: int, z: int, d: int, field: FieldTag, r: int):
-        """(projected target, first candidate) per distinct projection of the
-        targets with 0 <= rank - r <= min(z, n - r), in target-list order."""
+        """(projection, first candidate, its `CompletionTarget`) per distinct
+        projection of the targets with 0 <= rank - r <= min(z, n - r), in
+        target-list order."""
         key = (theorem, m, n, z, d, field, r)
         if key not in self.pairs:
             shape = key[1:6]
@@ -128,29 +142,58 @@ class _GridContext:
             for cand in self.targets[shape]:
                 if 0 <= cand.rank - r <= min(z, n - r):
                     firsts.setdefault(project(cand, theorem), cand)
-            self.pairs[key] = list(firsts.items())
+            self.pairs[key] = [(proj, c, target_from_eigenstructure(c, z, theorem)) for proj, c in firsts.items()]
         return self.pairs[key]
 
 
-def achieved_set(P: PolyMatrix, z: int, dmax: int, *, _ctx: _GridContext | None = None):
-    """Eigenstructures of all completions [P; W] with deg W <= dmax.
+def _stack_form(P: PolyMatrix, d: int):
+    """Reduced row echelon form of P's coefficient stack up to degree d."""
+    return echelon(_coefficient_stack(_coefficient_lists(P), d), P.field)
 
-    Only the W whose coefficient stack is zero at the pivot columns of P's
-    are formed; every other W is one of them plus constant multiples of P's
-    rows, with the same row-space key.  `_ctx` is the memo `run_grid`
-    shares across a grid; without it a fresh one is made."""
+
+def _subspace_bases(free, z: int, p: int, width: int):
+    """Reduced echelon bases of every subspace of dimension <= z of GF(p)
+    on the columns `free` (in increasing order), as rows of length `width`
+    that are zero off `free`: per dimension k, per choice of k pivots, every
+    filling of the positions right of each pivot that are not pivots."""
+    q = len(free)
+    for k in range(min(z, q) + 1):
+        for pivots in itertools.combinations(range(q), k):
+            slots = [(i, free[j]) for i, c in enumerate(pivots) for j in range(c + 1, q) if j not in pivots]
+            for values in itertools.product(range(p), repeat=len(slots)):
+                rows = [[0] * width for _ in pivots]
+                for row, c in zip(rows, pivots):
+                    row[free[c]] = 1
+                for (i, col), v in zip(slots, values):
+                    rows[i][col] = v
+                yield rows
+
+
+def achieved_set(P: PolyMatrix, z: int, dmax: int, *, _ctx: _GridContext | None = None, _form=None):
+    """Eigenstructures of all completions [P; W] with deg W <= dmax, for
+    dmax >= deg P.
+
+    The eigenstructure of [P; W] depends only on the row space V of its
+    coefficient stack, and V runs over the subspaces containing P's row
+    space U with dim V - dim U <= z.  Each such V is U plus exactly one
+    subspace of the vectors zero at the pivot columns of U's form, so one
+    W per subspace is formed: its reduced echelon basis, padded with zero
+    rows to z rows, keyed by extending a copy of U's form.  `_ctx` is the
+    memo `run_grid` shares across a grid; without it a fresh one is made.
+    `_form` is U's form at degree bound dmax, if the caller has it."""
+    d = degree_of(P)
+    if dmax < d:
+        raise ValueError(f"degree bound {dmax} is below deg P = {d}")
     ctx = _ctx if _ctx is not None else _GridContext()
-    f = P.field
-    p_basis = echelon(_coefficient_stack(_coefficient_lists(P), dmax), f)
-    pivots = {col for col, _ in p_basis}
-    choices = [(0,) if c in pivots else range(f.p) for c in range(P.cols * (dmax + 1))]
-    rows = [list(row) for row in itertools.product(*choices)]
-    found = {}
-    for w_rows in itertools.product(rows, repeat=z):
-        key = (P.rows + z, P.cols, dmax, tuple(tuple(row) for _, row in echelon(w_rows, f, list(p_basis))))
-        if key not in found:
-            found[key] = ctx.eigenstructure(key, P, w_rows)
-    return set(found.values())
+    form = _form if _form is not None else _stack_form(P, dmax)
+    width = P.cols * (dmax + 1)
+    pivots = {col for col, _ in form}
+    free = [c for c in range(width) if c not in pivots]
+    found = set()
+    for w_rows in _subspace_bases(free, z, P.field.p, width):
+        key = (P.rows + z, P.cols, dmax, tuple(tuple(row) for _, row in echelon(w_rows, P.field, list(form))))
+        found.add(ctx.eigenstructure(key, P, w_rows))
+    return found
 
 
 def project(es, theorem: str):
@@ -170,33 +213,62 @@ def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridConte
     """Compare every checker against brute force for one matrix.
 
     Returns mismatch records (theorem, target eigenstructure, checker
-    verdict, search verdict).  `_ctx` is as for `achieved_set`.
+    verdict, search verdict).  Every matrix with P's shape, degree and
+    stack row space has the same records but for "matrix", so they are
+    worked out once per such class.  `_ctx` is as for `achieved_set`.
     """
     ctx = _ctx if _ctx is not None else _GridContext()
     d = degree_of(P)
-    p_form = echelon(_coefficient_stack(_coefficient_lists(P), d), P.field)
-    pinv = ctx.eigenstructure((P.rows, P.cols, d, tuple(tuple(row) for _, row in p_form)), P)
-    achieved = achieved_set(P, z, d, _ctx=ctx)
-    memo = ctx.verdicts.setdefault(pinv, {})
-    mismatches = []
-    for theorem in theorems:
-        pairs = ctx.target_pairs(theorem, P.rows, P.cols, z, d, P.field, pinv.rank)
-        if theorem not in memo:
-            check = ctx.checkers[theorem]
-            memo[theorem] = [check(pinv, target_from_eigenstructure(c, z, theorem)).feasible for _, c in pairs]
-        truth = {project(es, theorem) for es in achieved}
-        for (key, cand), verdict in zip(pairs, memo[theorem]):
-            if verdict != (key in truth):
-                mismatches.append(
-                    {
-                        "matrix": P,
-                        "theorem": theorem,
-                        "target": cand,
-                        "checker": verdict,
-                        "search": key in truth,
-                    }
-                )
-    return mismatches
+    form = _stack_form(P, d)
+    key = (P.rows, P.cols, d, tuple(tuple(row) for _, row in form))
+    entries = ctx.classes.setdefault(key, {})
+    missing = [theorem for theorem in theorems if theorem not in entries]
+    if missing:
+        pinv = ctx.eigenstructure(key, P)
+        achieved = achieved_set(P, z, d, _ctx=ctx, _form=form)
+        verdicts = ctx.verdicts.setdefault(pinv, {})
+        for theorem in missing:
+            pairs = ctx.target_pairs(theorem, P.rows, P.cols, z, d, P.field, pinv.rank)
+            if theorem not in verdicts:
+                check = ctx.checkers[theorem]
+                verdicts[theorem] = [check(pinv, target).feasible for _, _, target in pairs]
+            truth = {project(es, theorem) for es in achieved}
+            entries[theorem] = [
+                (cand, verdict, proj in truth)
+                for (proj, cand, _), verdict in zip(pairs, verdicts[theorem])
+                if verdict != (proj in truth)
+            ]
+    return [
+        {"matrix": P, "theorem": theorem, "target": cand, "checker": verdict, "search": search}
+        for theorem in theorems
+        for cand, verdict, search in entries[theorem]
+    ]
+
+
+def _subspace_count(a: int, k: int, p: int) -> int:
+    """The Gaussian binomial [a choose k]_p: subspaces of dimension k of GF(p)^a."""
+    num = den = 1
+    for i in range(k):
+        num *= p ** (a - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _ensure_grid_budget(spec: GridSpec, budget: int) -> None:
+    """Raise BudgetExceededError unless what the oracle forms fits the
+    budget: p^(m N) matrices, N = n (d + 1), times the subspaces formed per
+    class, at most sum_{k <= min(z, N - 1)} [N - 1 choose k]_p since every
+    class has rho >= 1.  [a choose k]_p >= p^(k (a - k)), so, as in
+    `realize._ensure_budget`, a count whose power of p already passes the
+    budget is refused from that exponent, with no big number formed."""
+    p, N = spec.field.p, spec.n * (spec.d + 1)
+    dims = range(min(spec.z, N - 1) + 1)
+    e = spec.m * N + max(k * (N - 1 - k) for k in dims)
+    if e * (p.bit_length() - 1) >= budget.bit_length():
+        raise BudgetExceededError(f"at least {p}^{e}", budget)
+    count = p ** (spec.m * N) * sum(_subspace_count(N - 1, k, p) for k in dims)
+    if count > budget:
+        raise BudgetExceededError(count, budget)
 
 
 def _check_chunk(args):
@@ -211,8 +283,7 @@ def run_grid(spec: GridSpec, theorems=THEOREMS, budget: int | None = None, jobs:
     exhaustive search agree everywhere.  The order is the grid order, for
     any number of jobs."""
     if budget is not None:
-        # completions examined: (#P) x (#W per P) = p^(m n (d+1)) p^(z n (d+1))
-        _ensure_budget(spec.field, spec.m + spec.z, spec.n, spec.d, budget)
+        _ensure_grid_budget(spec, budget)
     mats = list(all_matrices(spec.m, spec.n, spec.d, spec.field))
     theorems = tuple(theorems)
     if jobs <= 1:

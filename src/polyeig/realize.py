@@ -25,7 +25,8 @@ from .sequences import InternalError
 
 class BudgetExceededError(RuntimeError):
     """Enumeration space larger than the allowed budget.  `size` is a count,
-    or a power such as "2^20200" for a search space."""
+    a power such as "2^20000" for a search space, or a bound such as
+    "at least 2^20198" for an oracle grid."""
 
     def __init__(self, size, budget):
         super().__init__(f"enumeration of {size} candidates exceeds budget {budget}")

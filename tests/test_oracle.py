@@ -1,14 +1,14 @@
 """The memoised oracle against plain exhaustive search, planted checkers and
 parallel runs, plus zero-mismatch runs on the first GF(3) grid, the first
-grid with rank excess 2 and the first GF(3) grid with gap sequences of
-length 2."""
+grid with rank excess 2, the first GF(3) grid with gap sequences of
+length 2 and two grids with m = 2 and z = 2."""
 
 import itertools
 
 import pytest
 
 import polyeig.oracle as oracle
-from polyeig import GF, QQ, eigenstructure, stack_rows
+from polyeig import GF, QQ, PolyMatrix, eigenstructure, stack_rows
 from polyeig.feasibility import FeasibilityReport
 from polyeig.matrix import _coefficient_lists, _coefficient_stack, degree_of, echelon
 from polyeig.oracle import GridSpec, achieved_set, all_matrices, run_grid
@@ -51,9 +51,19 @@ def test_parallel_run_matches_serial(monkeypatch):
     assert run_grid(PLANT_GRID, jobs=2) == serial
 
 
-@pytest.mark.parametrize("grid", ["gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=2 d=1", "gf3 m=1 n=2 z=2 d=1"])
+WIDE_GRIDS = ["gf3 m=2 n=2 z=2 d=1", "gf2 m=2 n=3 z=2 d=1"]
+
+
+@pytest.mark.parametrize("grid", ["gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=2 d=1", "gf3 m=1 n=2 z=2 d=1", *WIDE_GRIDS])
 def test_no_mismatches_on_wider_grid(grid):
     assert run_grid(GridSpec.parse(grid)) == []
+
+
+@pytest.mark.parametrize("grid", WIDE_GRIDS)
+def test_planted_checker_is_seen_on_wide_grid(grid, monkeypatch):
+    monkeypatch.setitem(oracle.CHECKERS, "full", always_feasible)
+    planted = run_grid(GridSpec.parse(grid), theorems=("full",))
+    assert planted and all(rec["checker"] and not rec["search"] for rec in planted)
 
 
 def negated(check):
@@ -83,10 +93,11 @@ def plain_records(P, z, checkers):
     return records
 
 
-@pytest.mark.parametrize("grid", ["gf2 m=1 n=2 z=1 d=1", "gf3 m=1 n=1 z=2 d=1"])
+@pytest.mark.parametrize("grid", ["gf2 m=1 n=2 z=1 d=1", "gf3 m=1 n=1 z=2 d=1", "gf3 m=1 n=2 z=1 d=1"])
 def test_records_follow_target_order_without_memo(grid, monkeypatch):
     # negated checkers disagree with brute force on every admissible target,
-    # so the records list each (theorem, distinct projection) in order
+    # so the records list each (theorem, distinct projection) in order; on
+    # GF(3) P and 2P share a class, and each keeps its own records
     checkers = {theorem: negated(check) for theorem, check in oracle.CHECKERS.items()}
     g = GridSpec.parse(grid)
     expected = [rec for P in all_matrices(g.m, g.n, g.d, g.field) for rec in plain_records(P, g.z, checkers)]
@@ -107,10 +118,22 @@ def test_records_leave_out_targets_past_the_window(monkeypatch):
     assert all(expected) and [oracle.check_instance(P, 1, _ctx=ctx) for P in mats] == expected
 
 
-@pytest.mark.parametrize("grid", ["gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=1 d=1"])
+def subspaces(q, k, p):
+    """[q choose k]_p by brute force: the ordered k-tuples of independent
+    vectors of GF(p)^q over the ordered bases of one k-space."""
+    vectors = [v for v in itertools.product(range(p), repeat=q) if any(v)]
+    bases = sum(1 for rows in itertools.permutations(vectors, k) if len(echelon([list(r) for r in rows], GF(p))) == k)
+    per_space = 1
+    for i in range(k):
+        per_space *= p**k - p**i
+    return bases // per_space
+
+
+@pytest.mark.parametrize("grid", ["gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=1 d=1", "gf2 m=1 n=2 z=2 d=1"])
 def test_completions_enumerated_modulo_row_space(grid, monkeypatch):
-    # one row-space key per W with zero stack entries at P's pivot columns:
-    # p^(z (n (d+1) - rho)) of them, rho the rank of P's coefficient stack
+    # one row-space key per subspace V of dimension <= z over P's stack row
+    # space U: sum_{k <= z} [q choose k]_p of them, q = n (d+1) - rho for
+    # a stack of rank rho, fewer than the p^(z q) W zero at U's pivots
     g = GridSpec.parse(grid)
     keys = []
 
@@ -125,8 +148,34 @@ def test_completions_enumerated_modulo_row_space(grid, monkeypatch):
         ranks.add(rho)
         keys.clear()
         achieved_set(P, g.z, g.d)
-        assert sum(keys) == g.field.p ** (g.z * (g.n * (g.d + 1) - rho)), str(P)
+        q = g.n * (g.d + 1) - rho
+        assert sum(keys) == sum(subspaces(q, k, g.field.p) for k in range(min(g.z, q) + 1)), str(P)
     assert len(ranks) == (1 if g.m == 1 else 2)
+    if g.z == 2:  # one rank, q = 3: 1 + 7 + 7 subspaces against 2^6 W
+        assert sum(keys) == 15 < g.field.p ** (g.z * 3)
+
+
+def test_achieved_set_once_per_class(monkeypatch):
+    # over GF(3) a 1 x 2 matrix shares its stack row space only with 2P
+    calls = []
+
+    def counting(P, z, dmax, **kwargs):
+        calls.append(P)
+        return achieved_set(P, z, dmax, **kwargs)
+
+    monkeypatch.setattr(oracle, "achieved_set", counting)
+    g = GridSpec.parse("gf3 m=1 n=2 z=1 d=1")
+    assert run_grid(g) == []
+    assert len(list(all_matrices(g.m, g.n, g.d, g.field))) == 72 and len(calls) == 36
+
+
+def test_achieved_set_refuses_degree_bound_below_p():
+    # P = [s^2, 1]: with dmax = 1 it returned 8 of the 16 eigenstructures
+    # of the completions by rows of degree <= 1
+    P = PolyMatrix.make([[[0, 0, 1], [1]]], GF(2))
+    with pytest.raises(ValueError, match="degree bound 1 is below deg P = 2"):
+        achieved_set(P, 1, 1)
+    assert achieved_set(P, 1, 2) == {eigenstructure(stack_rows(P, W)) for W in all_completion_rows(GF(2), 1, 2, 2)}
 
 
 def test_one_theorem_table():
