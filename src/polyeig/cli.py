@@ -43,11 +43,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _count(raw: str, name: str, least: int = 0) -> int:
-    """An integer >= least written in plain ASCII digits; int() would also
-    take "1_000", a non-ASCII digit or a sign."""
-    if not is_digits(raw) or int(raw) < least:
-        raise CliError(EXIT_INPUT, f"{name} must be an integer >= {least} in ASCII digits, got {raw!r}")
+def _count(raw: str, name: str) -> int:
+    """An integer >= 0 written in plain ASCII digits; int() would also take
+    "1_000", a non-ASCII digit or a sign."""
+    if not is_digits(raw):
+        raise CliError(EXIT_INPUT, f"{name} must be an integer >= 0 in ASCII digits, got {raw!r}")
     return int(raw)
 
 
@@ -133,9 +133,8 @@ def cmd_realize(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = GridSpec.parse(args.grid)
-    budget, jobs = _budget(args), _count(args.jobs, "--jobs", least=1)
     theorems = args.theorem or list(CHECKERS)
-    mismatches = run_grid(spec, theorems=theorems, budget=budget, jobs=jobs)
+    mismatches = run_grid(spec, theorems=theorems, budget=_budget(args))
     doc = {
         "grid": args.grid,
         "theorems": list(theorems),
@@ -188,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_orc.add_argument("grid", help='grid spec, e.g. "gf2 n=1 m=1 z=1 d=1"')
     p_orc.add_argument("--theorem", action="append", choices=list(CHECKERS), default=None)
     p_orc.add_argument("--budget", default=None)
-    p_orc.add_argument("--jobs", default="1")
     p_orc.set_defaults(func=cmd_oracle)
     return ap
 

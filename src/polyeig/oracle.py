@@ -32,20 +32,15 @@ of p^(z q) tuples W.  W is rebuilt from its stack, entry j of an n-column
 row being row[j::n], only for a form not seen before.  The targets, and
 their `CompletionTarget`s, are built once per shape; the checkers run once
 per eigenstructure of P, theorem and distinct projection of the admissible
-targets, whose list is kept per shape and rank of P.  The memos live for
-one `run_grid` call (or one direct `achieved_set` / `check_instance` call)
-and no longer, and use the checkers bound in `CHECKERS` when the call
-starts.  With ``jobs > 1`` the matrices are cut into at most that many
-contiguous chunks, each worker keeps its own memo, and the results are
-joined in grid order; no more workers start than there are chunks or
-cores.
+targets, whose list is kept per shape and rank of P.  The memos serve one
+field and one z, live for one `run_grid` call (or one direct
+`achieved_set` / `check_instance` call) and no longer, and use the
+checkers bound in `CHECKERS` when the call starts.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -103,20 +98,31 @@ class GridSpec:
 
 
 class _GridContext:
-    """Memo for the matrices of one grid, so of one z and one field:
+    """Memo for the matrices of one grid, so of one field and one z:
     eigenstructures by shape, degree bound and row space of the coefficient
     stack, target lists by shape, checker verdicts by eigenstructure of P,
     and mismatch entries by class of P (the key of P's own eigenstructure),
     then by theorem, in the order of `target_pairs`.  The checkers are a
-    copy of `checkers` (default `CHECKERS`) taken when the context is made."""
+    copy of `CHECKERS` taken when the context is made."""
 
-    def __init__(self, checkers=None):
-        self.checkers = dict(CHECKERS if checkers is None else checkers)
+    def __init__(self, field: FieldTag, z: int):
+        self.field, self.z = field, z
+        self.checkers = dict(CHECKERS)
         self.eigen = {}
         self.targets = {}
         self.pairs = {}
         self.verdicts = {}
         self.classes = {}
+
+    @classmethod
+    def serving(cls, ctx: _GridContext | None, P: PolyMatrix, z: int) -> _GridContext:
+        """`ctx`, or a fresh memo for P's field and z; a memo made for
+        another field or z would answer from that grid, so it is refused."""
+        if ctx is None:
+            return cls(P.field, z)
+        if (ctx.field, ctx.z) != (P.field, z):
+            raise ValueError(f"memo serves {ctx.field.name} z={ctx.z}, not {P.field.name} z={z}")
+        return ctx
 
     def eigenstructure(self, key, P: PolyMatrix, w_rows=()):
         """The eigenstructure under `key` of P stacked on the rows whose
@@ -129,20 +135,20 @@ class _GridContext:
             es = self.eigen[key] = eigenstructure(stack_rows(P, PolyMatrix.make(W, P.field)) if W else P)
         return es
 
-    def target_pairs(self, theorem: str, m: int, n: int, z: int, d: int, field: FieldTag, r: int):
+    def target_pairs(self, theorem: str, m: int, n: int, d: int, r: int):
         """(projection, first candidate, its `CompletionTarget`) per distinct
         projection of the targets with 0 <= rank - r <= min(z, n - r), in
         target-list order."""
-        key = (theorem, m, n, z, d, field, r)
+        key = (theorem, m, n, d, r)
         if key not in self.pairs:
-            shape = key[1:6]
+            shape = (m, n, d)
             if shape not in self.targets:
-                self.targets[shape] = list(enumerate_targets(*shape))
+                self.targets[shape] = list(enumerate_targets(m, n, self.z, d, self.field))
             firsts = {}
             for cand in self.targets[shape]:
-                if 0 <= cand.rank - r <= min(z, n - r):
+                if 0 <= cand.rank - r <= min(self.z, n - r):
                     firsts.setdefault(project(cand, theorem), cand)
-            self.pairs[key] = [(proj, c, target_from_eigenstructure(c, z, theorem)) for proj, c in firsts.items()]
+            self.pairs[key] = [(proj, c, target_from_eigenstructure(c, self.z, theorem)) for proj, c in firsts.items()]
         return self.pairs[key]
 
 
@@ -179,12 +185,13 @@ def achieved_set(P: PolyMatrix, z: int, dmax: int, *, _ctx: _GridContext | None 
     subspace of the vectors zero at the pivot columns of U's form, so one
     W per subspace is formed: its reduced echelon basis, padded with zero
     rows to z rows, keyed by extending a copy of U's form.  `_ctx` is the
-    memo `run_grid` shares across a grid; without it a fresh one is made.
-    `_form` is U's form at degree bound dmax, if the caller has it."""
+    memo `run_grid` shares across a grid, which must serve P's field and
+    this z; without it a fresh one is made.  `_form` is U's form at degree
+    bound dmax, if the caller has it."""
     d = degree_of(P)
     if dmax < d:
         raise ValueError(f"degree bound {dmax} is below deg P = {d}")
-    ctx = _ctx if _ctx is not None else _GridContext()
+    ctx = _GridContext.serving(_ctx, P, z)
     form = _form if _form is not None else _stack_form(P, dmax)
     width = P.cols * (dmax + 1)
     pivots = {col for col, _ in form}
@@ -217,7 +224,7 @@ def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridConte
     stack row space has the same records but for "matrix", so they are
     worked out once per such class.  `_ctx` is as for `achieved_set`.
     """
-    ctx = _ctx if _ctx is not None else _GridContext()
+    ctx = _GridContext.serving(_ctx, P, z)
     d = degree_of(P)
     form = _stack_form(P, d)
     key = (P.rows, P.cols, d, tuple(tuple(row) for _, row in form))
@@ -228,7 +235,7 @@ def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridConte
         achieved = achieved_set(P, z, d, _ctx=ctx, _form=form)
         verdicts = ctx.verdicts.setdefault(pinv, {})
         for theorem in missing:
-            pairs = ctx.target_pairs(theorem, P.rows, P.cols, z, d, P.field, pinv.rank)
+            pairs = ctx.target_pairs(theorem, P.rows, P.cols, d, pinv.rank)
             if theorem not in verdicts:
                 check = ctx.checkers[theorem]
                 verdicts[theorem] = [check(pinv, target).feasible for _, _, target in pairs]
@@ -271,25 +278,17 @@ def _ensure_grid_budget(spec: GridSpec, budget: int) -> None:
         raise BudgetExceededError(count, budget)
 
 
-def _check_chunk(args):
-    """Mismatches of consecutive grid matrices, sharing one memo."""
-    mats, z, theorems, checkers = args
-    ctx = _GridContext(checkers)
-    return [rec for P in mats for rec in check_instance(P, z, theorems, _ctx=ctx)]
-
-
 def run_grid(spec: GridSpec, theorems=THEOREMS, budget: int | None = None, jobs: int = 1):
-    """All mismatches over the grid; empty list means checkers and
-    exhaustive search agree everywhere.  The order is the grid order, for
-    any number of jobs."""
+    """All mismatches over the grid, in grid order; an empty list means
+    checkers and exhaustive search agree everywhere."""
+    if jobs != 1:  # perfbench/workloads.py still passes jobs=1; the oracle has one process
+        raise ValueError(f"the oracle runs in one process: jobs must be 1, got {jobs!r}")
     if budget is not None:
         _ensure_grid_budget(spec, budget)
-    mats = list(all_matrices(spec.m, spec.n, spec.d, spec.field))
+    ctx = _GridContext(spec.field, spec.z)
     theorems = tuple(theorems)
-    if jobs <= 1:
-        return _check_chunk((mats, spec.z, theorems, CHECKERS))
-    size = -(-len(mats) // jobs) or 1
-    work = [(mats[i : i + size], spec.z, theorems, CHECKERS) for i in range(0, len(mats), size)]
-    # the pool starts all its workers up front: start only those that can be busy
-    with ProcessPoolExecutor(max_workers=min(jobs, len(work), os.cpu_count() or 1)) as pool:
-        return [rec for found in pool.map(_check_chunk, work) for rec in found]
+    return [
+        rec
+        for P in all_matrices(spec.m, spec.n, spec.d, spec.field)
+        for rec in check_instance(P, spec.z, theorems, _ctx=ctx)
+    ]

@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import polyeig
 
@@ -11,7 +14,8 @@ import polyeig
 # the per-delta rebuild of each block-Toeplitz system with its rank
 # wrapper, now one growing elimination per side, and the coefficient stacks
 # that the matrix layer and the oracle each laid out, now one reader and
-# one stack builder in `matrix`.
+# one stack builder in `matrix`, and the oracle's process pool, which two
+# jobs did not pay for.
 REMOVED = {
     "homog": ("HOMOG_ONE", "HOMOG_ZERO", "chain_at", "homog_lcm"),
     "poly": ("poly_lcm",),
@@ -21,7 +25,9 @@ REMOVED = {
         "MinimalBasis", "nullspace", "right_minimal_basis", "matrix_rank_constant", "_convolution_rows",
         "_stacked_rows",
     ),
-    "oracle": ("_rref", "_stack_key", "grid_size", "_coefficient_rows", "_row_space"),
+    "oracle": (
+        "_rref", "_stack_key", "grid_size", "_coefficient_rows", "_row_space", "_check_chunk", "ProcessPoolExecutor",
+    ),
     "realize": (
         "SearchBudget", "search_completion",
         "Companion", "InfinityBlock", "ColumnSingular", "RowSingular", "kronecker_block",
@@ -46,3 +52,14 @@ def test_removed_names_are_gone():
     # one exact-degree enumeration, which the oracle imports from realize
     oracle, realize = (importlib.import_module(f"polyeig.{m}") for m in ("oracle", "realize"))
     assert oracle.all_matrices is realize.all_matrices
+
+
+def test_oracle_import_loads_no_process_pool():
+    # the oracle runs in one process: importing it must not pay for the
+    # multiprocessing machinery
+    code = "import sys, polyeig.oracle; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(polyeig.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=30,
+    ).stdout
+    assert out == "[]\n"

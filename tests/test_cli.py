@@ -361,7 +361,6 @@ def test_cli_integers_are_strict(tmp_path, capsys, monkeypatch, raw):
     search = ["realize", "--target", t, "--search", "--field", "gf2"]
     for argv in (
         ["oracle", grid, f"--budget={raw}"],
-        ["oracle", grid, f"--jobs={raw}"],
         [*search, f"--budget={raw}"],
         ["check", mp, f"--add-rows={raw}", "--target", t],
     ):
@@ -374,12 +373,8 @@ def test_cli_integers_are_strict(tmp_path, capsys, monkeypatch, raw):
         assert "POLYEIG_BUDGET must be an integer" in capsys.readouterr().err
 
 
-def test_oracle_needs_a_job(capsys):
-    # a bad --jobs is refused before any worker starts
-    for jobs in ("0", "-3"):
-        assert main(["oracle", "gf2 n=1 m=1 z=1 d=1", "--jobs", jobs]) == 2
-        assert "--jobs must be an integer >= 1" in capsys.readouterr().err
-    code, doc = run(capsys, "oracle", "gf2 n=1 m=1 z=1 d=1", "--jobs", "1", "--budget", "100")
+def test_oracle_within_budget(capsys):
+    code, doc = run(capsys, "oracle", "gf2 n=1 m=1 z=1 d=1", "--budget", "100")
     assert code == 0 and doc["mismatches"] == 0
 
 

@@ -1,7 +1,7 @@
-"""The memoised oracle against plain exhaustive search, planted checkers and
-parallel runs, plus zero-mismatch runs on the first GF(3) grid, the first
-grid with rank excess 2, the first GF(3) grid with gap sequences of
-length 2 and two grids with m = 2 and z = 2."""
+"""The memoised oracle against plain exhaustive search and planted checkers,
+plus zero-mismatch runs on the first GF(3) grid, the first grid with rank
+excess 2, the first GF(3) grid with gap sequences of length 2 and two grids
+with m = 2 and z = 2."""
 
 import itertools
 
@@ -28,7 +28,7 @@ def always_feasible(pinv, target):
 @pytest.mark.parametrize("grid", ACHIEVED_GRIDS)
 def test_memoised_achieved_set_equals_exhaustive(grid):
     g = GridSpec.parse(grid)
-    ctx = oracle._GridContext()  # one memo across the grid, as run_grid has
+    ctx = oracle._GridContext(g.field, g.z)  # one memo across the grid, as run_grid has
     for P in all_matrices(g.m, g.n, g.d, g.field):
         plain = {eigenstructure(stack_rows(P, W)) for W in all_completion_rows(g.field, g.z, g.n, g.d)}
         assert achieved_set(P, g.z, g.d, _ctx=ctx) == plain
@@ -42,13 +42,6 @@ def test_planted_checker_is_seen_and_not_cached(monkeypatch):
     assert all(rec["checker"] and not rec["search"] for rec in planted)
     monkeypatch.undo()
     assert run_grid(PLANT_GRID) == []
-
-
-def test_parallel_run_matches_serial(monkeypatch):
-    monkeypatch.setitem(oracle.CHECKERS, "full", always_feasible)
-    serial = run_grid(PLANT_GRID, jobs=1)
-    assert serial
-    assert run_grid(PLANT_GRID, jobs=2) == serial
 
 
 WIDE_GRIDS = ["gf3 m=2 n=2 z=2 d=1", "gf2 m=2 n=3 z=2 d=1"]
@@ -114,8 +107,35 @@ def test_records_leave_out_targets_past_the_window(monkeypatch):
     expected = [plain_records(P, 1, checkers) for P in mats]
     for theorem, check in checkers.items():
         monkeypatch.setitem(oracle.CHECKERS, theorem, check)
-    ctx = oracle._GridContext()
+    ctx = oracle._GridContext(GF(2), 1)
     assert all(expected) and [oracle.check_instance(P, 1, _ctx=ctx) for P in mats] == expected
+
+
+def test_memo_serves_one_z(monkeypatch):
+    # a memo shared across z = 1 and z = 2 used to answer z = 2 from the
+    # z = 1 targets: 67 records where a fresh memo gives 83
+    checkers = {theorem: negated(check) for theorem, check in oracle.CHECKERS.items()}
+    P = next(all_matrices(1, 2, 1, GF(2)))
+    expected = plain_records(P, 2, checkers)
+    for theorem, check in checkers.items():
+        monkeypatch.setitem(oracle.CHECKERS, theorem, check)
+    ctx = oracle._GridContext(GF(2), 1)
+    assert oracle.check_instance(P, 1, _ctx=ctx)
+    with pytest.raises(ValueError, match="memo serves GF\\(2\\) z=1, not GF\\(2\\) z=2"):
+        oracle.check_instance(P, 2, _ctx=ctx)
+    assert len(expected) == 83 and oracle.check_instance(P, 2) == expected
+
+
+def test_memo_serves_one_field():
+    # [1, s] has one stack form over GF(2) and GF(3): a shared memo used to
+    # return the GF(2) eigenstructures for the GF(3) matrix
+    P2, P3 = (PolyMatrix.make([[[1], [0, 1]]], GF(p)) for p in (2, 3))
+    plain2, plain3 = ({eigenstructure(stack_rows(P, W)) for W in all_completion_rows(P.field, 1, 2, 1)} for P in (P2, P3))
+    ctx = oracle._GridContext(GF(2), 1)
+    assert achieved_set(P2, 1, 1, _ctx=ctx) == plain2
+    with pytest.raises(ValueError, match="memo serves GF\\(2\\) z=1, not GF\\(3\\) z=1"):
+        achieved_set(P3, 1, 1, _ctx=ctx)
+    assert achieved_set(P3, 1, 1) == plain3 != plain2
 
 
 def subspaces(q, k, p):
@@ -193,31 +213,11 @@ def test_one_theorem_table():
         oracle.project(es, "exists")
 
 
-def test_jobs_capped_at_chunks_and_cores(monkeypatch):
-    # the pool starts every worker up front, so a huge --jobs must not
-    # reach it; an in-process fake records what it is asked for
-    import os
-
-    asked = []
-
-    class FakePool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, work):
-            return map(fn, work)
-
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", FakePool)
-    assert run_grid(PLANT_GRID, jobs=10**6) == run_grid(PLANT_GRID) == []
-    assert asked == [min(12, os.cpu_count() or 1)]
-    monkeypatch.setitem(oracle.CHECKERS, "full", always_feasible)
-    assert run_grid(PLANT_GRID, jobs=10**6) == run_grid(PLANT_GRID)
+def test_run_grid_runs_in_one_process():
+    assert run_grid(PLANT_GRID, jobs=1) == []
+    for jobs in (0, 2):
+        with pytest.raises(ValueError, match="jobs must be 1"):
+            run_grid(PLANT_GRID, jobs=jobs)
 
 
 def test_grid_spec_field_must_be_a_prime_field():
