@@ -4,6 +4,13 @@ Covers degree, normal rank, Smith form, multiplicities at infinity and
 minimal indices (read off the ranks of block-Toeplitz systems, one growing
 elimination per side, with no basis built), the assembled eigenstructure,
 and the first Frobenius companion linearization.
+
+One kernel, `echelon`, does the linear algebra over the base field.  The
+oracle's row-space keys take its reduced row echelon form.  The rank passes
+keep a row echelon form with no back-substitution: a new row reduced by
+the kept rows in list order ends zero at every pivot, so it is zero
+exactly when it lies in their span, and the rank after each block is
+exact.
 """
 
 from __future__ import annotations
@@ -279,7 +286,7 @@ def _primitive(row):
     return [a // g for a in row] if g > 1 else row
 
 
-def echelon(rows, field: FieldTag, basis=None):
+def echelon(rows, field: FieldTag, basis=None, *, reduced: bool = True):
     """Reduced row echelon form of the span of `rows` (lists of field
     elements) as (pivot column, row) pairs in pivot order, built one row at
     a time: a new row is reduced by the kept rows, and the kept rows by its
@@ -293,6 +300,16 @@ def echelon(rows, field: FieldTag, basis=None):
     Given `basis`, a form returned earlier, the block `rows` extends it in
     place, so its length is the rank after each block; the block may add
     columns, zero in every kept row, which are padded to its width.
+
+    With `reduced=False` the kept rows are not reduced by a new pivot, and
+    the result is a row echelon form with the same pivot columns, so the
+    same rank.  Each kept row is zero at the pivot of every row before it
+    in the list: in pivot order because a pivot is its row's first nonzero
+    entry, and among the rows a block appends because each was reduced by
+    the rows before it.  So a new row reduced by the kept rows in list order
+    ends zero at every pivot, and it is zero exactly when it lies in their
+    span.  The rank passes read only the length; the oracle's keys need the
+    reduced form, the one canonical form of a row space.
     """
     # The field branches stay inline: a helper call per reduction made the
     # oracle's row-space keys about a fifth slower.
@@ -319,14 +336,15 @@ def echelon(rows, field: FieldTag, basis=None):
         if p is not None and piv != 1:
             inv = pow(piv, -1, p)
             row = [c * inv % p for c in row]
-        for k, (qcol, qrow) in enumerate(basis):
-            c = qrow[col]
-            if c:
-                if p is None:
-                    qrow = _primitive([piv * a - c * b for a, b in zip(qrow, row)])
-                else:
-                    qrow = [(a - c * b) % p for a, b in zip(qrow, row)]
-                basis[k] = (qcol, qrow)
+        if reduced:
+            for k, (qcol, qrow) in enumerate(basis):
+                c = qrow[col]
+                if c:
+                    if p is None:
+                        qrow = _primitive([piv * a - c * b for a, b in zip(qrow, row)])
+                    else:
+                        qrow = [(a - c * b) % p for a, b in zip(qrow, row)]
+                    basis[k] = (qcol, qrow)
         basis.append((col, row))
     basis.sort()  # the pivot columns differ, so no two rows are compared
     return basis
@@ -337,10 +355,11 @@ def echelon(rows, field: FieldTag, basis=None):
 
 def _ranks(base, step: int, field: FieldTag, skip: int = 0):
     """Ranks after blocks 0, 1, 2, ... of one elimination: block j is `base`
-    shifted right by j * step zero columns, its first `skip` columns dropped."""
+    shifted right by j * step zero columns, its first `skip` columns dropped.
+    Only the rank is read, so the form is not reduced."""
     basis = []
     for j in count():
-        echelon([([0] * (j * step) + row)[skip:] for row in base], field, basis)
+        echelon([([0] * (j * step) + row)[skip:] for row in base], field, basis, reduced=False)
         yield len(basis)
 
 

@@ -156,13 +156,14 @@ def poly_s(field: FieldTag) -> Poly:
 
 
 def poly_divides(p: Poly, q: Poly) -> bool:
-    """Whether p | q.  Everything divides zero; zero divides only zero."""
+    """Whether p | q.  Everything divides zero; zero divides only zero; a
+    nonzero constant divides everything, with no division."""
     same_field(p.field, q.field)
     if q.is_zero:
         return True
     if p.is_zero:
         return False
-    return (q % p).is_zero
+    return len(p.coeffs) == 1 or (q % p).is_zero
 
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:

@@ -508,11 +508,16 @@ def block_sequences(draw):
 @given(block_sequences())
 def test_echelon_fed_in_blocks_gives_every_prefix_rank(case):
     blocks, field = case
-    basis, stacked = [], []
+    basis, unreduced, stacked = [], [], []
     for block, ncols in blocks:
         assert echelon(_integer_rows(block, field), field, basis) is basis
+        # the rank passes keep a row echelon form: no back-substitution, the
+        # same rank and pivot columns
+        assert echelon(_integer_rows(block, field), field, unreduced, reduced=False) is unreduced
         stacked = [row + [field.zero] * (ncols - len(row)) for row in stacked] + block
-        assert len(basis) == len(_gauss_jordan_rref(stacked, ncols, field)[0])
+        rref, pivots = _gauss_jordan_rref(stacked, ncols, field)
+        assert len(basis) == len(unreduced) == len(rref)
+        assert [col for col, _ in basis] == [col for col, _ in unreduced] == pivots
     # the grown form is the form of the whole stack in one block, once a
     # trailing block with no rows has had its columns padded on
     ncols = blocks[-1][1]
@@ -683,7 +688,7 @@ from polyeig import QQ, InternalError, PolyMatrix, eigenstructure
 if __debug__:
     raise SystemExit("not running under -O")
 # a kernel that keeps no row: every block-Toeplitz rank reads 0
-mx.echelon = lambda rows, field, basis=None: [] if basis is None else basis
+mx.echelon = lambda rows, field, basis=None, **kw: [] if basis is None else basis
 try:
     eigenstructure(PolyMatrix.make([[[0, 1], [1]]], QQ))
 except InternalError as exc:

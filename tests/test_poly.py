@@ -156,6 +156,13 @@ def test_gcd_divides_both(a, b):
     assert g.is_monic
 
 
+@given(st.sampled_from([(QQ, 2), (QQ, Fraction(-1, 3)), (GF(5), 3), (GF(5), 1), (GF(2), 1)]), coeffs_q)
+def test_nonzero_constant_divides_everything(constant, q):
+    field, c = constant
+    p, pq = P([c], field), P(q, field)
+    assert poly_divides(p, pq) == (pq % p).is_zero
+
+
 def test_str_and_s():
     assert str(poly_s(QQ)) == "s"
     assert str(P([1, 0, 2])) == "1 + 2*s^2"
