@@ -24,6 +24,7 @@ from .sequences import (
     ensure_ints,
     ensure_nonincreasing,
     ensure_partition,
+    _gen_majorizes,
     gen_majorizes,
     majorizes,
     prefix_sum,
@@ -305,9 +306,9 @@ def _chain_check(pinv: Eigenstructure, target: CompletionTarget, theorem: str, c
         lead, exact = _row_lead(t[2], u, v), x == 0
     a, b = _gaps(t, lead, x, z, d)
     details = {"x": x, "a": a, "b": b}
-    if cols and not _holds(gen_majorizes, c, dd, a):
+    if cols and not _holds(_gen_majorizes, c, dd, a):
         violations.append("col-gen-majorization")
-    if rows and not _holds(gen_majorizes, v, u, b):
+    if rows and not _holds(_gen_majorizes, v, u, b):
         violations.append("row-gen-majorization")
     lhs = _dls(t, -x, r + x)
     if (lhs != lead) if exact else (lhs > lead):

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import count
+from itertools import chain, count
 from math import gcd, lcm
 
 from .fields import FieldTag, same_field
 from .homog import HomogPoly, ensure_chain, homog_one
-from .poly import Poly
+from .poly import Poly, poly_one
 from .sequences import InternalError, ensure_ints, ensure_partition
 
 
@@ -270,8 +270,11 @@ def _divides(b, a, p):
 
 
 def rank_of(P: PolyMatrix) -> int:
-    """Normal rank over the rational function field."""
-    return len(smith_form(P))
+    """Normal rank over the rational function field: min(m, n) when the
+    leading coefficient certifies it (see `_reading`), otherwise the length
+    of the Smith form."""
+    *_, certified = _reading(P, zero_ok=True)
+    return _normal_rank(P, certified)
 
 
 # --- exact linear algebra over the base field -------------------------------
@@ -363,6 +366,35 @@ def _ranks(base, step: int, field: FieldTag, skip: int = 0):
         yield len(basis)
 
 
+def _reading(P: PolyMatrix, zero_ok: bool = False):
+    """P read once for the rank passes: its coefficient lists A, its degree
+    d taken from them, the stack of the rows of [P_0 ... P_d] (the base of
+    the pass at infinity and of the row pass), the ranks of the pass at
+    infinity, and the normal rank r if the first of those certifies it,
+    else None.
+
+    Block 0 of the pass at infinity is the leading coefficient P_d, and
+    rank P_d = #{e_i = 0} <= r <= min(m, n).  So rank P_d = min(m, n) gives
+    r with no elimination past that block.  The zero matrix has no degree;
+    with `zero_ok` it is read as degree 0.
+    """
+    A = _coefficient_lists(P)
+    d = max(len(e) for row in A for e in row) - 1
+    if d < 0:
+        if not zero_ok:
+            raise ZeroMatrixError("degree of the zero matrix is undefined")
+        d = 0
+    stack = _coefficient_stack(A, d)
+    ranks = _ranks(stack, P.cols, P.field, P.cols * d)
+    lead, full = next(ranks), min(P.rows, P.cols)
+    return A, d, stack, chain([lead], ranks), (full if lead == full else None)
+
+
+def _normal_rank(P: PolyMatrix, certified: int | None) -> int:
+    """The certified normal rank, or without one the Smith form's length."""
+    return len(smith_form(P)) if certified is None else certified
+
+
 def _read_off(count, total, cap, what):
     """The values v_1 <= ... <= v_total, ascending, of a count
     k -> sum max(0, k - v_i).  Its step from k - 1 to k is #{v_i < k}: the
@@ -380,7 +412,7 @@ def _read_off(count, total, cap, what):
     return tuple(values)
 
 
-def infinite_multiplicities(P: PolyMatrix, *, _rank: int | None = None) -> tuple:
+def infinite_multiplicities(P: PolyMatrix, *, _rank: int | None = None, _read=None) -> tuple:
     """Partial multiplicities of infinity: the t-adic valuations e_i of the
     Smith form of rev P(t) = t^d P(1/t), read off constant ranks.
 
@@ -388,18 +420,18 @@ def infinite_multiplicities(P: PolyMatrix, *, _rank: int | None = None) -> tuple
     rank sum max(0, k - e_i) (Gohberg, Lancaster & Rodman 1982).  Its block
     row i holds P_(d-i+j) at block column j <= i, so one elimination fed the
     block rows in turn gives every rank.  Every e_i is at most r * d, so k
-    stops by r * d + 1.  `_rank`: the normal rank, if known.
+    stops by r * d + 1.  `_rank`: the normal rank, if known; `_read`: P's
+    `_reading`, if made.
     """
-    d = degree_of(P)
-    r = rank_of(P) if _rank is None else _rank
-    ranks = _ranks(_coefficient_stack(_coefficient_lists(P), d), P.cols, P.field, P.cols * d)
+    _, d, _, ranks, certified = _read or _reading(P)
+    r = _normal_rank(P, certified) if _rank is None else _rank
     mults = _read_off(lambda k: next(ranks), r, r * d + 1, "multiplicities at infinity")
     if mults and mults[0] != 0:
         raise InternalError(f"multiplicities at infinity must rise from 0, found {mults}")
     return mults
 
 
-def minimal_indices(P: PolyMatrix, *, _rank: int | None = None):
+def minimal_indices(P: PolyMatrix, *, _rank: int | None = None, _read=None):
     """Column and row minimal indices, each nonincreasing: those of P and
     of its transpose.
 
@@ -409,13 +441,13 @@ def minimal_indices(P: PolyMatrix, *, _rank: int | None = None):
     dim ker C_delta = n k - rank C_delta = sum max(0, k - eps_i) over the
     column minimal indices eps_i, each at most r * d.  C_(delta+1)^T adds n
     rows to C_delta^T, [P_0^T ... P_d^T] shifted by (delta + 1) m columns,
-    so one elimination per side gives every rank.  `_rank`: the normal rank.
+    so one elimination per side gives every rank.  `_rank` and `_read` are
+    as for `infinite_multiplicities`.
     """
-    r = rank_of(P) if _rank is None else _rank
-    d = 0 if P.is_zero else degree_of(P)
-    A = _coefficient_lists(P)
+    A, d, stack, _, certified = _read or _reading(P, zero_ok=True)
+    r = _normal_rank(P, certified) if _rank is None else _rank
     col_ranks = _ranks(_coefficient_stack(zip(*A), d), P.rows, P.field)
-    row_ranks = _ranks(_coefficient_stack(A, d), P.cols, P.field)
+    row_ranks = _ranks(stack, P.cols, P.field)
     return (
         _read_off(lambda k: P.cols * k - next(col_ranks), P.cols - r, r * d + 1, "column minimal indices")[::-1],
         _read_off(lambda k: P.rows * k - next(row_ranks), P.rows - r, r * d + 1, "row minimal indices")[::-1],
@@ -423,16 +455,35 @@ def minimal_indices(P: PolyMatrix, *, _rank: int | None = None):
 
 
 def eigenstructure(P: PolyMatrix) -> Eigenstructure:
-    """Degree, rank, homogeneous invariant factor chain and minimal indices."""
-    d = degree_of(P)
-    alphas = smith_form(P)
-    r = len(alphas)
-    hom = tuple(HomogPoly(a, e) for a, e in zip(alphas, infinite_multiplicities(P, _rank=r)))
-    col, row = minimal_indices(P, _rank=r)
+    """Degree, rank, homogeneous invariant factor chain and minimal indices.
+
+    The Smith form runs only where there may be finite spectrum.  The
+    leading coefficient bounds the normal rank: rank P_d <= r <= min(m, n).
+    If rank P_d = min(m, n), that is r, and the index sum theorem (De Teran,
+    Dopico & Mackey 2014) gives sum deg a_i = r d - sum e_i - sum eps_i -
+    sum eta_i from the three rank passes.  When that sum is 0 every
+    invariant factor is 1, and the Smith form is not run.  Without the
+    certificate the Smith form runs first, to give r.
+    """
+    read = _reading(P)
+    _, d, _, _, r = read
+    alphas = smith_form(P) if r is None else None
+    r = len(alphas) if r is None else r
+    # through the public names, so that a wrapper bound to them times the
+    # passes; `_read` hands them the one reading of P
+    mults = infinite_multiplicities(P, _rank=r, _read=read)
+    col, row = minimal_indices(P, _rank=r, _read=read)
+    if alphas is None:
+        finite = r * d - sum(mults) - sum(col) - sum(row)
+        if finite < 0:
+            raise InternalError(f"index sum exceeds r * d = {r * d} by {-finite}")
+        alphas = (poly_one(P.field),) * r if finite == 0 else smith_form(P)
+        if len(alphas) != r:
+            raise InternalError(f"Smith form has {len(alphas)} factors, certified rank {r}")
     es = Eigenstructure(
         degree=d,
         rank=r,
-        hom_factors=hom,
+        hom_factors=tuple(HomogPoly(a, e) for a, e in zip(alphas, mults)),
         col_indices=col,
         row_indices=row,
     )

@@ -93,8 +93,13 @@ def gen_majorizes(g, d, a) -> bool:
     Requires len(g) == len(d) + len(a); checks the interlacing bound
     d_i >= g_{i+s}, the threshold-cut inequalities, and equal totals.
     """
-    g = ensure_nonincreasing(g, "g")
-    d = ensure_nonincreasing(d, "d")
+    return _gen_majorizes(ensure_nonincreasing(g, "g"), ensure_nonincreasing(d, "d"), a)
+
+
+def _gen_majorizes(g, d, a) -> bool:
+    """`gen_majorizes` for g and d already validated as nonincreasing
+    integer tuples, as the index lists of an `Eigenstructure` and a
+    `CompletionTarget` are.  Only a is validated here."""
     a = ensure_nonincreasing(a, "a")
     m, s = len(d), len(a)
     if len(g) != m + s:

@@ -293,6 +293,78 @@ def test_index_sum_random(rng):
         assert es.hom_factors[0].e == 0
 
 
+def _certified_corpus(field):
+    """Seeded matrices over `field` for the Smith-form cross-check: wide,
+    tall and square full-rank ones, rank-deficient products, full-rank ones
+    with a singular leading coefficient (one row or column of lower
+    degree), and wide and tall ones with finite spectrum,
+    diag(s - a, s - b) W or W diag(s - a, s - b)."""
+    rng = random.Random(f"certified-rank/{field}")
+    one, s = Poly.make([1], field), Poly.make([0, 1], field)
+
+    def shifted():
+        return s - Poly.make([rng.randrange(-2, 3) if field.p is None else rng.randrange(field.p)], field)
+
+    out = []
+    for m, n in ((1, 2), (2, 3), (2, 4), (3, 4), (2, 1), (3, 2), (4, 3), (2, 2), (3, 3)):
+        for d in (1, 2):
+            out.append(random_matrix(rng, m, n, d, field))
+            low = random_matrix(rng, m, n, d, field).entries
+            if m <= n:  # the last row loses its s^d terms
+                low = low[:-1] + (tuple(Poly.make(e.coeffs[:d], field) for e in low[-1]),)
+            else:  # the last column does
+                low = tuple(row[:-1] + (Poly.make(row[-1].coeffs[:d], field),) for row in low)
+            out.append(PolyMatrix.make(low, field))
+    for m, k, n in ((2, 1, 2), (3, 1, 2), (3, 2, 3), (2, 1, 4), (4, 2, 3)):
+        A, B = random_matrix(rng, m, k, 1, field), random_matrix(rng, k, n, 1, field)
+        out.append(PolyMatrix.make(product(A.entries, B.entries, field), field))
+    for _ in range(3):
+        mid = [[shifted(), poly_zero(field)], [poly_zero(field), shifted()]]
+        out.append(PolyMatrix.make(product(mid, random_matrix(rng, 2, 3, 1, field).entries, field), field))
+        out.append(PolyMatrix.make(product(random_matrix(rng, 3, 2, 1, field).entries, mid, field), field))
+    out.append(M([[s, one], [one, poly_zero(field)]], field))  # unimodular, P_1 of rank 1
+    out.append(M([[s, one], [poly_zero(field), one]], field))  # det s, P_1 of rank 1
+    return [P for P in out if not P.is_zero]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)
+def test_eigenstructure_chain_is_the_smith_form(field):
+    # eigenstructure runs the Smith form only when rank P_d < min(m, n) or
+    # the index sum leaves finite degree; where it skips it, nothing else
+    # checks the unit chain it builds
+    ways = {"fallback": 0, "skipped": 0, "certified": 0}
+    for P in _certified_corpus(field):
+        es, alphas = eigenstructure(P), smith_form(P)
+        assert es.alphas == alphas
+        assert es.rank == len(alphas)
+        lead = P.coefficient_matrix(es.degree)
+        if len(_gauss_jordan_rref(lead, P.cols, field)[1]) < min(P.rows, P.cols):
+            ways["fallback"] += 1
+        else:
+            ways["certified" if sum(a.degree for a in alphas) else "skipped"] += 1
+    assert min(ways.values()) >= 2, ways
+
+
+def test_smith_form_runs_only_where_there_is_finite_spectrum(monkeypatch):
+    calls = []
+    real = polyeig.matrix.smith_form
+    monkeypatch.setattr(polyeig.matrix, "smith_form", lambda P: calls.append(P) or real(P))
+
+    def count(fn, P):
+        calls.clear()
+        fn(P)
+        return len(calls)
+
+    wide = M([[S, [1], []], [[], S, [1]]])  # P_1 of rank 2, eps = (2,), sum deg a_i = 0
+    tall = wide.transpose()  # eta = (2,)
+    square = M([[S, [1]], [[1], S]])  # P_1 = I, det s^2 - 1
+    low_lead = M([[S, [1]], [[1], []]])  # P_1 of rank 1, unimodular
+    cases = (wide, tall, square, low_lead)
+    assert [count(eigenstructure, P) for P in cases] == [0, 0, 1, 1]
+    for fn in (rank_of, minimal_indices, infinite_multiplicities):
+        assert [count(fn, P) for P in cases] == [0, 0, 0, 1]
+
+
 def test_companion_examples():
     C = companion_form(M([[[0, 0, 1]]]))
     assert [[str(e) for e in r] for r in C.entries] == [["s", "0"], ["-1", "s"]]
@@ -768,6 +840,43 @@ else:
 """
 
 
+_NEGATIVE_FINITE_DEGREE = """
+import polyeig.matrix as mx
+from polyeig import QQ, InternalError, PolyMatrix, eigenstructure
+
+if __debug__:
+    raise SystemExit("not running under -O")
+real = mx._ranks
+# the column pass (step m = 1, nothing skipped) reads every rank one too
+# high, so eps = (1, 1) where it is (1, 0), past r * d = 1 in all
+mx._ranks = lambda base, step, field, skip=0: (k + (step == 1 and not skip) for k in real(base, step, field, skip))
+try:
+    eigenstructure(PolyMatrix.make([[[0, 1], [1], []]], QQ))
+except InternalError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InternalError")
+"""
+
+
+_SMITH_FORM_SHORT = """
+import polyeig.matrix as mx
+from polyeig import QQ, InternalError, PolyMatrix, eigenstructure
+
+if __debug__:
+    raise SystemExit("not running under -O")
+# [s] has rank P_d = 1 = min(m, n) and a finite factor s, so the Smith
+# form runs after the rank is certified
+mx.smith_form = lambda P: ()
+try:
+    eigenstructure(PolyMatrix.make([[[0, 1]]], QQ))
+except InternalError as exc:
+    print(exc)
+else:
+    raise SystemExit("no InternalError")
+"""
+
+
 def test_internal_invariants_survive_optimize():
     src = os.path.dirname(os.path.dirname(polyeig.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -778,6 +887,8 @@ def test_internal_invariants_survive_optimize():
         (_EVERYTHING_DIVIDES, "divisibility chain"),
         (_WRONG_COMPANION, "realization round-trip failed"),
         (_OVERSIZE_COMPANION, "blocks exceed the requested dimensions"),
+        (_NEGATIVE_FINITE_DEGREE, "index sum exceeds r * d = 1 by 1"),
+        (_SMITH_FORM_SHORT, "Smith form has 0 factors, certified rank 1"),
     ):
         proc = subprocess.run(
             [sys.executable, "-O", "-c", script],
