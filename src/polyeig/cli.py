@@ -133,11 +133,11 @@ def cmd_realize(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = GridSpec.parse(args.grid)
-    theorems = args.theorem or list(CHECKERS)
+    theorems = list(dict.fromkeys(args.theorem or CHECKERS))  # each once, in the order first given
     mismatches = run_grid(spec, theorems=theorems, budget=_budget(args))
     doc = {
         "grid": args.grid,
-        "theorems": list(theorems),
+        "theorems": theorems,
         "mismatches": len(mismatches),
         "samples": [
             {

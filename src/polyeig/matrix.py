@@ -273,8 +273,8 @@ def rank_of(P: PolyMatrix) -> int:
     """Normal rank over the rational function field: min(m, n) when the
     leading coefficient certifies it (see `_reading`), otherwise the length
     of the Smith form."""
-    *_, certified = _reading(P, zero_ok=True)
-    return _normal_rank(P, certified)
+    *_, r, _ = _reading(P, zero_ok=True)
+    return r
 
 
 # --- exact linear algebra over the base field -------------------------------
@@ -370,13 +370,14 @@ def _reading(P: PolyMatrix, zero_ok: bool = False):
     """P read once for the rank passes: its coefficient lists A, its degree
     d taken from them, the stack of the rows of [P_0 ... P_d] (the base of
     the pass at infinity and of the row pass), the ranks of the pass at
-    infinity, and the normal rank r if the first of those certifies it,
+    infinity, the normal rank r, and the Smith form if it was run for r,
     else None.
 
     Block 0 of the pass at infinity is the leading coefficient P_d, and
     rank P_d = #{e_i = 0} <= r <= min(m, n).  So rank P_d = min(m, n) gives
-    r with no elimination past that block.  The zero matrix has no degree;
-    with `zero_ok` it is read as degree 0.
+    r with no elimination past that block; otherwise r is the length of the
+    Smith form.  The zero matrix has no degree; with `zero_ok` it is read
+    as degree 0.
     """
     A = _coefficient_lists(P)
     d = max(len(e) for row in A for e in row) - 1
@@ -387,12 +388,8 @@ def _reading(P: PolyMatrix, zero_ok: bool = False):
     stack = _coefficient_stack(A, d)
     ranks = _ranks(stack, P.cols, P.field, P.cols * d)
     lead, full = next(ranks), min(P.rows, P.cols)
-    return A, d, stack, chain([lead], ranks), (full if lead == full else None)
-
-
-def _normal_rank(P: PolyMatrix, certified: int | None) -> int:
-    """The certified normal rank, or without one the Smith form's length."""
-    return len(smith_form(P)) if certified is None else certified
+    alphas = None if lead == full else smith_form(P)
+    return A, d, stack, chain([lead], ranks), (full if alphas is None else len(alphas)), alphas
 
 
 def _read_off(count, total, cap, what):
@@ -412,7 +409,7 @@ def _read_off(count, total, cap, what):
     return tuple(values)
 
 
-def infinite_multiplicities(P: PolyMatrix, *, _rank: int | None = None, _read=None) -> tuple:
+def infinite_multiplicities(P: PolyMatrix, *, _read=None) -> tuple:
     """Partial multiplicities of infinity: the t-adic valuations e_i of the
     Smith form of rev P(t) = t^d P(1/t), read off constant ranks.
 
@@ -420,18 +417,16 @@ def infinite_multiplicities(P: PolyMatrix, *, _rank: int | None = None, _read=No
     rank sum max(0, k - e_i) (Gohberg, Lancaster & Rodman 1982).  Its block
     row i holds P_(d-i+j) at block column j <= i, so one elimination fed the
     block rows in turn gives every rank.  Every e_i is at most r * d, so k
-    stops by r * d + 1.  `_rank`: the normal rank, if known; `_read`: P's
-    `_reading`, if made.
+    stops by r * d + 1.  `_read`: P's `_reading`, if made.
     """
-    _, d, _, ranks, certified = _read or _reading(P)
-    r = _normal_rank(P, certified) if _rank is None else _rank
+    _, d, _, ranks, r, _ = _read or _reading(P)
     mults = _read_off(lambda k: next(ranks), r, r * d + 1, "multiplicities at infinity")
     if mults and mults[0] != 0:
         raise InternalError(f"multiplicities at infinity must rise from 0, found {mults}")
     return mults
 
 
-def minimal_indices(P: PolyMatrix, *, _rank: int | None = None, _read=None):
+def minimal_indices(P: PolyMatrix, *, _read=None):
     """Column and row minimal indices, each nonincreasing: those of P and
     of its transpose.
 
@@ -441,11 +436,10 @@ def minimal_indices(P: PolyMatrix, *, _rank: int | None = None, _read=None):
     dim ker C_delta = n k - rank C_delta = sum max(0, k - eps_i) over the
     column minimal indices eps_i, each at most r * d.  C_(delta+1)^T adds n
     rows to C_delta^T, [P_0^T ... P_d^T] shifted by (delta + 1) m columns,
-    so one elimination per side gives every rank.  `_rank` and `_read` are
-    as for `infinite_multiplicities`.
+    so one elimination per side gives every rank.  `_read` is as for
+    `infinite_multiplicities`.
     """
-    A, d, stack, _, certified = _read or _reading(P, zero_ok=True)
-    r = _normal_rank(P, certified) if _rank is None else _rank
+    A, d, stack, _, r, _ = _read or _reading(P, zero_ok=True)
     col_ranks = _ranks(_coefficient_stack(zip(*A), d), P.rows, P.field)
     row_ranks = _ranks(stack, P.cols, P.field)
     return (
@@ -466,13 +460,11 @@ def eigenstructure(P: PolyMatrix) -> Eigenstructure:
     certificate the Smith form runs first, to give r.
     """
     read = _reading(P)
-    _, d, _, _, r = read
-    alphas = smith_form(P) if r is None else None
-    r = len(alphas) if r is None else r
+    _, d, _, _, r, alphas = read
     # through the public names, so that a wrapper bound to them times the
     # passes; `_read` hands them the one reading of P
-    mults = infinite_multiplicities(P, _rank=r, _read=read)
-    col, row = minimal_indices(P, _rank=r, _read=read)
+    mults = infinite_multiplicities(P, _read=read)
+    col, row = minimal_indices(P, _read=read)
     if alphas is None:
         finite = r * d - sum(mults) - sum(col) - sum(row)
         if finite < 0:

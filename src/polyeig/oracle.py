@@ -11,11 +11,12 @@ invertible G, the matrix G·M has the same degree, the same finite structure
 same right null space, and left minimal bases mapped by G^-T, so the same
 row minimal indices.  Two matrices of one shape whose coefficient stacks
 [M_0 M_1 ... M_d] have the same row space differ by such a G.  So the
-eigenstructure is computed once per shape, degree bound and reduced row
-echelon form of that stack: the stack the matrix layer reads P's
-block-Toeplitz ranks from (`matrix._coefficient_stack` on
-`matrix._coefficient_lists`, columns in (power, entry) order), fed to
-`matrix.echelon` as one block.
+eigenstructure is computed once per row count and reduced row echelon form
+of that stack, on the matrix whose rows are that form's, padded with zero
+rows: the stack is the one the matrix layer reads P's block-Toeplitz ranks
+from (`matrix._coefficient_stack` on `matrix._coefficient_lists`, columns
+in (power, entry) order), fed to `matrix.echelon` as one block, and the
+grid fixes the column count and the degree bound d = deg P.
 
 Two consequences shape the search.  The matrices P with one stack row
 space U (a class: all G·P among them) have the same achieved set and the
@@ -28,25 +29,26 @@ U's form, a space of dimension q = n (d + 1) - rho for a stack of rank rho.
 `achieved_set` forms one W per subspace of dimension k <= z, its reduced
 echelon basis padded with zero rows, and keys it by extending a copy of
 U's form: sum_{k <= z} [q choose k]_p Gaussian binomials of them, in place
-of p^(z q) tuples W.  W is rebuilt from its stack, entry j of an n-column
-row being row[j::n], only for a form not seen before.  The targets, and
-their `CompletionTarget`s, are built once per shape; the checkers run once
-per eigenstructure of P, theorem and distinct projection of the admissible
-targets, whose list is kept per shape and rank of P.  The memos serve one
-field and one z, live for one `run_grid` call (or one direct
-`achieved_set` / `check_instance` call) and no longer, and use the
-checkers bound in `CHECKERS` when the call starts.
+of p^(z q) tuples W.  A matrix is rebuilt from a form, entry j of an
+n-column row being row[j::n], only for a form not seen before.  The
+targets, and their `CompletionTarget`s, are built once per grid; the
+checkers run once per eigenstructure of P, theorem and distinct projection
+of the admissible targets, whose list is kept per rank of P.  The memos
+serve one grid (field, shape, z and degree), live for one `run_grid` call
+(or one direct `achieved_set` / `check_instance` call) and no longer, and
+use the checkers bound in `CHECKERS` when the call starts.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 
 from .feasibility import CHECKERS, PRESCRIBES, CompletionTarget
 from .fields import FieldTag, is_digits, parse_gf
-from .matrix import PolyMatrix, _coefficient_lists, _coefficient_stack, degree_of, echelon, eigenstructure, stack_rows
+from .matrix import PolyMatrix, _coefficient_lists, _coefficient_stack, degree_of, echelon, eigenstructure
 from .realize import BudgetExceededError, all_matrices, enumerate_targets
 from .sequences import ensure_ints
 
@@ -98,57 +100,63 @@ class GridSpec:
 
 
 class _GridContext:
-    """Memo for the matrices of one grid, so of one field and one z:
-    eigenstructures by shape, degree bound and row space of the coefficient
-    stack, target lists by shape, checker verdicts by eigenstructure of P,
-    and mismatch entries by class of P (the key of P's own eigenstructure),
-    then by theorem, in the order of `target_pairs`.  The checkers are a
-    copy of `CHECKERS` taken when the context is made."""
+    """Memo for the matrices of one grid: eigenstructures by row count and
+    row space of the coefficient stack, the grid's target list, target
+    pairs by theorem and rank of P, checker verdicts by eigenstructure of
+    P, and mismatch entries by class of P (the key of P's own
+    eigenstructure), then by theorem, in the order of `target_pairs`.  The
+    checkers are a copy of `CHECKERS` taken when the context is made."""
 
-    def __init__(self, field: FieldTag, z: int):
-        self.field, self.z = field, z
+    def __init__(self, spec: GridSpec):
+        self.spec = spec
         self.checkers = dict(CHECKERS)
         self.eigen = {}
-        self.targets = {}
         self.pairs = {}
         self.verdicts = {}
         self.classes = {}
 
     @classmethod
     def serving(cls, ctx: _GridContext | None, P: PolyMatrix, z: int) -> _GridContext:
-        """`ctx`, or a fresh memo for P's field and z; a memo made for
-        another field or z would answer from that grid, so it is refused."""
+        """`ctx`, or a fresh memo for the grid of P and z; a memo made for
+        another grid would answer from that grid, so it is refused."""
+        grid = (P.field, P.rows, P.cols, z, degree_of(P))
         if ctx is None:
-            return cls(P.field, z)
-        if (ctx.field, ctx.z) != (P.field, z):
-            raise ValueError(f"memo serves {ctx.field.name} z={ctx.z}, not {P.field.name} z={z}")
+            return cls(GridSpec(*grid))
+        s = ctx.spec
+        if (s.field, s.m, s.n, s.z, s.d) != grid:  # compared as a tuple: no GridSpec per P
+            raise ValueError(f"memo serves {s}, not {GridSpec(*grid)}")
         return ctx
 
-    def eigenstructure(self, key, P: PolyMatrix, w_rows=()):
-        """The eigenstructure under `key` of P stacked on the rows whose
-        coefficient stacks are `w_rows`, padded with zero rows to the key's
-        row count; the matrix is built only for a new key."""
+    def eigenstructure(self, key):
+        """The eigenstructure under `key`, (row count, reduced stack form):
+        that of the matrix with the form's rows, padded with zero rows to
+        the row count, built only for a new key."""
         es = self.eigen.get(key)
         if es is None:
-            W = [[row[j :: P.cols] for j in range(P.cols)] for row in w_rows]
-            W += [[[0]] * P.cols] * (key[0] - P.rows - len(W))
-            es = self.eigen[key] = eigenstructure(stack_rows(P, PolyMatrix.make(W, P.field)) if W else P)
+            nrows, form = key
+            n = self.spec.n
+            entries = [[row[j::n] for j in range(n)] for row in form]
+            entries += [[[0]] * n] * (nrows - len(entries))
+            es = self.eigen[key] = eigenstructure(PolyMatrix.make(entries, self.spec.field))
         return es
 
-    def target_pairs(self, theorem: str, m: int, n: int, d: int, r: int):
+    @cached_property
+    def targets(self):
+        s = self.spec
+        return list(enumerate_targets(s.m, s.n, s.z, s.d, s.field))
+
+    def target_pairs(self, theorem: str, r: int):
         """(projection, first candidate, its `CompletionTarget`) per distinct
         projection of the targets with 0 <= rank - r <= min(z, n - r), in
         target-list order."""
-        key = (theorem, m, n, d, r)
+        key = (theorem, r)
         if key not in self.pairs:
-            shape = (m, n, d)
-            if shape not in self.targets:
-                self.targets[shape] = list(enumerate_targets(m, n, self.z, d, self.field))
+            z, n = self.spec.z, self.spec.n
             firsts = {}
-            for cand in self.targets[shape]:
-                if 0 <= cand.rank - r <= min(self.z, n - r):
+            for cand in self.targets:
+                if 0 <= cand.rank - r <= min(z, n - r):
                     firsts.setdefault(project(cand, theorem), cand)
-            self.pairs[key] = [(proj, c, target_from_eigenstructure(c, self.z, theorem)) for proj, c in firsts.items()]
+            self.pairs[key] = [(proj, c, target_from_eigenstructure(c, z, theorem)) for proj, c in firsts.items()]
         return self.pairs[key]
 
 
@@ -175,9 +183,8 @@ def _subspace_bases(free, z: int, p: int, width: int):
                 yield rows
 
 
-def achieved_set(P: PolyMatrix, z: int, dmax: int, *, _ctx: _GridContext | None = None, _form=None):
-    """Eigenstructures of all completions [P; W] with deg W <= dmax, for
-    dmax >= deg P.
+def achieved_set(P: PolyMatrix, z: int, *, _ctx: _GridContext | None = None, _form=None):
+    """Eigenstructures of all completions [P; W] with deg W <= deg P.
 
     The eigenstructure of [P; W] depends only on the row space V of its
     coefficient stack, and V runs over the subspaces containing P's row
@@ -185,21 +192,18 @@ def achieved_set(P: PolyMatrix, z: int, dmax: int, *, _ctx: _GridContext | None 
     subspace of the vectors zero at the pivot columns of U's form, so one
     W per subspace is formed: its reduced echelon basis, padded with zero
     rows to z rows, keyed by extending a copy of U's form.  `_ctx` is the
-    memo `run_grid` shares across a grid, which must serve P's field and
-    this z; without it a fresh one is made.  `_form` is U's form at degree
-    bound dmax, if the caller has it."""
-    d = degree_of(P)
-    if dmax < d:
-        raise ValueError(f"degree bound {dmax} is below deg P = {d}")
+    memo `run_grid` shares across a grid, which must be the grid of P and
+    this z; without it a fresh one is made.  `_form` is U's form, if the
+    caller has it."""
     ctx = _GridContext.serving(_ctx, P, z)
-    form = _form if _form is not None else _stack_form(P, dmax)
-    width = P.cols * (dmax + 1)
+    form = _form if _form is not None else _stack_form(P, ctx.spec.d)
+    width = P.cols * (ctx.spec.d + 1)
     pivots = {col for col, _ in form}
     free = [c for c in range(width) if c not in pivots]
     found = set()
     for w_rows in _subspace_bases(free, z, P.field.p, width):
-        key = (P.rows + z, P.cols, dmax, tuple(tuple(row) for _, row in echelon(w_rows, P.field, list(form))))
-        found.add(ctx.eigenstructure(key, P, w_rows))
+        key = (P.rows + z, tuple(tuple(row) for _, row in echelon(w_rows, P.field, list(form))))
+        found.add(ctx.eigenstructure(key))
     return found
 
 
@@ -222,20 +226,21 @@ def check_instance(P: PolyMatrix, z: int, theorems=THEOREMS, *, _ctx: _GridConte
     Returns mismatch records (theorem, target eigenstructure, checker
     verdict, search verdict).  Every matrix with P's shape, degree and
     stack row space has the same records but for "matrix", so they are
-    worked out once per such class.  `_ctx` is as for `achieved_set`.
+    worked out once per such class.  A theorem named twice is taken once,
+    in the order first named.  `_ctx` is as for `achieved_set`.
     """
     ctx = _GridContext.serving(_ctx, P, z)
-    d = degree_of(P)
-    form = _stack_form(P, d)
-    key = (P.rows, P.cols, d, tuple(tuple(row) for _, row in form))
+    theorems = tuple(dict.fromkeys(theorems))
+    form = _stack_form(P, ctx.spec.d)
+    key = (P.rows, tuple(tuple(row) for _, row in form))
     entries = ctx.classes.setdefault(key, {})
     missing = [theorem for theorem in theorems if theorem not in entries]
     if missing:
-        pinv = ctx.eigenstructure(key, P)
-        achieved = achieved_set(P, z, d, _ctx=ctx, _form=form)
+        pinv = ctx.eigenstructure(key)
+        achieved = achieved_set(P, z, _ctx=ctx, _form=form)
         verdicts = ctx.verdicts.setdefault(pinv, {})
         for theorem in missing:
-            pairs = ctx.target_pairs(theorem, P.rows, P.cols, d, pinv.rank)
+            pairs = ctx.target_pairs(theorem, pinv.rank)
             if theorem not in verdicts:
                 check = ctx.checkers[theorem]
                 verdicts[theorem] = [check(pinv, target).feasible for _, _, target in pairs]
@@ -285,7 +290,7 @@ def run_grid(spec: GridSpec, theorems=THEOREMS, budget: int | None = None, jobs:
         raise ValueError(f"the oracle runs in one process: jobs must be 1, got {jobs!r}")
     if budget is not None:
         _ensure_grid_budget(spec, budget)
-    ctx = _GridContext(spec.field, spec.z)
+    ctx = _GridContext(spec)
     theorems = tuple(theorems)
     return [
         rec

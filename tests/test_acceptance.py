@@ -232,7 +232,7 @@ def test_criterion_8_pencil_vs_polynomial_completions():
     F = GF(2)
     for m, n, d in ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)):
         for P in all_matrices(m, n, d, F):
-            poly_achieved = achieved_set(P, 1, d)
+            poly_achieved = achieved_set(P, 1)
             transformed = {companion_transform(es, F) for es in poly_achieved}
-            pencil_achieved = achieved_set(companion_form(P), 1, 1)
+            pencil_achieved = achieved_set(companion_form(P), 1)
             assert transformed == pencil_achieved, str(P)

@@ -14,8 +14,9 @@ import polyeig
 # the per-delta rebuild of each block-Toeplitz system with its rank
 # wrapper, now one growing elimination per side, and the coefficient stacks
 # that the matrix layer and the oracle each laid out, now one reader and
-# one stack builder in `matrix`, and the oracle's process pool, which two
-# jobs did not pay for.
+# one stack builder in `matrix`, the oracle's process pool, which two jobs
+# did not pay for, and the normal-rank helper, now part of the one reading
+# of P.
 REMOVED = {
     "homog": ("HOMOG_ONE", "HOMOG_ZERO", "chain_at", "homog_lcm"),
     "poly": ("poly_lcm",),
@@ -23,7 +24,7 @@ REMOVED = {
     "matrix": (
         "is_column_reduced", "apply_matrix", "_coeff_block", "reversal",
         "MinimalBasis", "nullspace", "right_minimal_basis", "matrix_rank_constant", "_convolution_rows",
-        "_stacked_rows",
+        "_stacked_rows", "_normal_rank",
     ),
     "oracle": (
         "_rref", "_stack_key", "grid_size", "_coefficient_rows", "_row_space", "_check_chunk", "ProcessPoolExecutor",

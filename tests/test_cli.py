@@ -169,6 +169,23 @@ def test_oracle_grid(capsys):
     assert code == 0 and doc["mismatches"] == 0
 
 
+def test_oracle_repeated_theorem_counted_once(capsys, monkeypatch):
+    # "--theorem full --theorem full" used to echo ["full", "full"] and
+    # count each mismatch twice
+    import polyeig.oracle as oracle
+    from polyeig.feasibility import FeasibilityReport
+
+    full = oracle.CHECKERS["full"]
+
+    def negated(pinv, target):
+        return FeasibilityReport(("negated",) if full(pinv, target).feasible else ())
+
+    monkeypatch.setitem(oracle.CHECKERS, "full", negated)
+    argv = ("--theorem", "full", "--theorem", "hom", "--theorem", "full")
+    code, doc = run(capsys, "oracle", "gf2 m=1 n=2 z=1 d=1", *argv)
+    assert code == 1 and doc["theorems"] == ["full", "hom"] and doc["mismatches"] == 156
+
+
 def test_oracle_budget(capsys):
     assert main(["oracle", "gf2 n=2 m=2 z=2 d=2", "--budget", "100"]) == 4
     capsys.readouterr()

@@ -184,7 +184,7 @@ def test_hom_plus_rows_spec_example_corrected():
     F = GF(2)
     P2 = PolyMatrix.make([[S, [1]]], F)
     key = (2, (HomogPoly(Poly.make([1], F), 0),) * 2, ())
-    assert key not in {project(es, "hom+rows") for es in achieved_set(P2, 1, 1)}
+    assert key not in {project(es, "hom+rows") for es in achieved_set(P2, 1)}
 
 
 def test_finite_only_examples():
@@ -383,7 +383,7 @@ def test_gap_shapes_on_feasible_instances():
     F = GF(2)
     for P in all_matrices(1, 2, 1, F):
         pin = eigenstructure(P)
-        for es in achieved_set(P, 1, 1):
+        for es in achieved_set(P, 1):
             x = es.rank - pin.rank
             a, b = _row_gaps(
                 pin.hom_factors, es.hom_factors, pin.row_indices, es.row_indices, x, 1, 1

@@ -164,7 +164,6 @@ def test_infinite_multiplicities():
         assert infinite_multiplicities(M([[[1], [0] * d + [1]], [[], [1]]])) == (0, 2 * d)
     U = M([[[1], [0, 0, 1], [0, 0, 0, 1]], [[], [1], [0, 0, 1]], [[], [], [1]]], GF(3))
     assert infinite_multiplicities(U) == (0, 2, 7)
-    assert infinite_multiplicities(U, _rank=3) == (0, 2, 7)
     with pytest.raises(ZeroMatrixError):
         infinite_multiplicities(M([[[]]]))
 
@@ -179,16 +178,17 @@ def test_minimal_indices_examples():
 
 
 def test_rank_is_not_a_public_option():
-    # a wrong rank would give a wrong answer with no error, so only
-    # eigenstructure passes the rank it has, by the private keyword
+    # a wrong rank would give a wrong answer with no error, so each reads
+    # the rank off P itself
     P = M([[S, [1]], [S, [1]]])
     for fn in (minimal_indices, infinite_multiplicities):
         with pytest.raises(TypeError):
             fn(P, 2)
-        with pytest.raises(TypeError):
-            fn(P, rank=1)
-    assert minimal_indices(P, _rank=1) == minimal_indices(P) == ((1,), (0,))
-    assert infinite_multiplicities(P, _rank=1) == infinite_multiplicities(P) == (0,)
+        for keyword in ("rank", "_rank"):
+            with pytest.raises(TypeError):
+                fn(P, **{keyword: 1})
+    assert minimal_indices(P) == ((1,), (0,))
+    assert infinite_multiplicities(P) == (0,)
 
 
 def _ref_minimal_basis(P):
@@ -343,6 +343,17 @@ def test_eigenstructure_chain_is_the_smith_form(field):
         else:
             ways["certified" if sum(a.degree for a in alphas) else "skipped"] += 1
     assert min(ways.values()) >= 2, ways
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(5)], ids=str)
+def test_rank_and_index_lists_are_the_eigenstructure_parts(field):
+    # each public reader works out the rank itself, certified or by the
+    # Smith form, and reads the same lists as eigenstructure
+    for P in _certified_corpus(field):
+        es = eigenstructure(P)
+        assert rank_of(P) == es.rank
+        assert minimal_indices(P) == (es.col_indices, es.row_indices)
+        assert infinite_multiplicities(P) == es.inf_mults
 
 
 def test_smith_form_runs_only_where_there_is_finite_spectrum(monkeypatch):

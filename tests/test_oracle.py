@@ -4,6 +4,7 @@ excess 2, the first GF(3) grid with gap sequences of length 2 and two grids
 with m = 2 and z = 2."""
 
 import itertools
+import re
 
 import pytest
 
@@ -28,11 +29,11 @@ def always_feasible(pinv, target):
 @pytest.mark.parametrize("grid", ACHIEVED_GRIDS)
 def test_memoised_achieved_set_equals_exhaustive(grid):
     g = GridSpec.parse(grid)
-    ctx = oracle._GridContext(g.field, g.z)  # one memo across the grid, as run_grid has
+    ctx = oracle._GridContext(g)  # one memo across the grid, as run_grid has
     for P in all_matrices(g.m, g.n, g.d, g.field):
         plain = {eigenstructure(stack_rows(P, W)) for W in all_completion_rows(g.field, g.z, g.n, g.d)}
-        assert achieved_set(P, g.z, g.d, _ctx=ctx) == plain
-        assert achieved_set(P, g.z, g.d) == plain
+        assert achieved_set(P, g.z, _ctx=ctx) == plain
+        assert achieved_set(P, g.z) == plain
 
 
 def test_planted_checker_is_seen_and_not_cached(monkeypatch):
@@ -107,8 +108,14 @@ def test_records_leave_out_targets_past_the_window(monkeypatch):
     expected = [plain_records(P, 1, checkers) for P in mats]
     for theorem, check in checkers.items():
         monkeypatch.setitem(oracle.CHECKERS, theorem, check)
-    ctx = oracle._GridContext(GF(2), 1)
+    ctx = oracle._GridContext(GridSpec(GF(2), 2, 3, 1, 1))
     assert all(expected) and [oracle.check_instance(P, 1, _ctx=ctx) for P in mats] == expected
+
+
+def _refusal(asked):
+    """The message of a memo for the GF(2) 1 x 2 z=1 d=1 grid refusing the
+    grid `asked`, in `GridSpec.parse` form."""
+    return re.escape(f"memo serves {GridSpec.parse('gf2 m=1 n=2 z=1 d=1')!r}, not {GridSpec.parse(asked)!r}")
 
 
 def test_memo_serves_one_z(monkeypatch):
@@ -119,11 +126,18 @@ def test_memo_serves_one_z(monkeypatch):
     expected = plain_records(P, 2, checkers)
     for theorem, check in checkers.items():
         monkeypatch.setitem(oracle.CHECKERS, theorem, check)
-    ctx = oracle._GridContext(GF(2), 1)
+    ctx = oracle._GridContext(GridSpec.parse("gf2 m=1 n=2 z=1 d=1"))
     assert oracle.check_instance(P, 1, _ctx=ctx)
-    with pytest.raises(ValueError, match="memo serves GF\\(2\\) z=1, not GF\\(2\\) z=2"):
+    with pytest.raises(ValueError, match=_refusal("gf2 m=1 n=2 z=2 d=1")):
         oracle.check_instance(P, 2, _ctx=ctx)
     assert len(expected) == 83 and oracle.check_instance(P, 2) == expected
+    # nor another shape or degree, whose stack forms it would mistake for its own
+    wide, deep = PolyMatrix.make([[[1], [0, 1], []]], GF(2)), PolyMatrix.make([[[1], [0, 0, 1]]], GF(2))
+    for other, grid in ((wide, "gf2 m=1 n=3 z=1 d=1"), (deep, "gf2 m=1 n=2 z=1 d=2")):
+        with pytest.raises(ValueError, match=_refusal(grid)):
+            oracle.check_instance(other, 1, _ctx=ctx)
+    with pytest.raises(ValueError, match="grid needs z >= 1, got 0"):
+        oracle.check_instance(P, 0)
 
 
 def test_memo_serves_one_field():
@@ -131,11 +145,18 @@ def test_memo_serves_one_field():
     # return the GF(2) eigenstructures for the GF(3) matrix
     P2, P3 = (PolyMatrix.make([[[1], [0, 1]]], GF(p)) for p in (2, 3))
     plain2, plain3 = ({eigenstructure(stack_rows(P, W)) for W in all_completion_rows(P.field, 1, 2, 1)} for P in (P2, P3))
-    ctx = oracle._GridContext(GF(2), 1)
-    assert achieved_set(P2, 1, 1, _ctx=ctx) == plain2
-    with pytest.raises(ValueError, match="memo serves GF\\(2\\) z=1, not GF\\(3\\) z=1"):
-        achieved_set(P3, 1, 1, _ctx=ctx)
-    assert achieved_set(P3, 1, 1) == plain3 != plain2
+    ctx = oracle._GridContext(GridSpec.parse("gf2 m=1 n=2 z=1 d=1"))
+    assert achieved_set(P2, 1, _ctx=ctx) == plain2
+    with pytest.raises(ValueError, match=_refusal("gf3 m=1 n=2 z=1 d=1")):
+        achieved_set(P3, 1, _ctx=ctx)
+    assert achieved_set(P3, 1) == plain3 != plain2
+    # nor another shape or degree
+    tall, deep = PolyMatrix.make([[[1], [0, 1]], [[], [1]]], GF(2)), PolyMatrix.make([[[1], [0, 0, 1]]], GF(2))
+    for other, grid in ((tall, "gf2 m=2 n=2 z=1 d=1"), (deep, "gf2 m=1 n=2 z=1 d=2")):
+        with pytest.raises(ValueError, match=_refusal(grid)):
+            achieved_set(other, 1, _ctx=ctx)
+    with pytest.raises(ValueError, match="grid needs z >= 1, got 0"):
+        achieved_set(P2, 0)
 
 
 def subspaces(q, k, p):
@@ -167,7 +188,7 @@ def test_completions_enumerated_modulo_row_space(grid, monkeypatch):
         rho = len(echelon(_coefficient_stack(_coefficient_lists(P), g.d), g.field))
         ranks.add(rho)
         keys.clear()
-        achieved_set(P, g.z, g.d)
+        achieved_set(P, g.z)
         q = g.n * (g.d + 1) - rho
         assert sum(keys) == sum(subspaces(q, k, g.field.p) for k in range(min(g.z, q) + 1)), str(P)
     assert len(ranks) == (1 if g.m == 1 else 2)
@@ -179,9 +200,9 @@ def test_achieved_set_once_per_class(monkeypatch):
     # over GF(3) a 1 x 2 matrix shares its stack row space only with 2P
     calls = []
 
-    def counting(P, z, dmax, **kwargs):
+    def counting(P, z, **kwargs):
         calls.append(P)
-        return achieved_set(P, z, dmax, **kwargs)
+        return achieved_set(P, z, **kwargs)
 
     monkeypatch.setattr(oracle, "achieved_set", counting)
     g = GridSpec.parse("gf3 m=1 n=2 z=1 d=1")
@@ -189,13 +210,28 @@ def test_achieved_set_once_per_class(monkeypatch):
     assert len(list(all_matrices(g.m, g.n, g.d, g.field))) == 72 and len(calls) == 36
 
 
-def test_achieved_set_refuses_degree_bound_below_p():
-    # P = [s^2, 1]: with dmax = 1 it returned 8 of the 16 eigenstructures
-    # of the completions by rows of degree <= 1
+def test_achieved_set_completes_up_to_deg_p():
+    # P = [s^2, 1]: completed by rows of degree <= 1 it gave 8 of the 16
+    # eigenstructures of the completions by rows of degree <= deg P = 2
     P = PolyMatrix.make([[[0, 0, 1], [1]]], GF(2))
-    with pytest.raises(ValueError, match="degree bound 1 is below deg P = 2"):
-        achieved_set(P, 1, 1)
-    assert achieved_set(P, 1, 2) == {eigenstructure(stack_rows(P, W)) for W in all_completion_rows(GF(2), 1, 2, 2)}
+    assert achieved_set(P, 1) == {eigenstructure(stack_rows(P, W)) for W in all_completion_rows(GF(2), 1, 2, 2)}
+
+
+def test_oracle_refuses_a_matrix_over_q():
+    # it used to end in a TypeError deep in the subspace enumeration
+    P = PolyMatrix.make([[[1], [0, 1]]], QQ)
+    for call in (achieved_set, oracle.check_instance):
+        with pytest.raises(ValueError, match="grid field must be a GF"):
+            call(P, 1)
+
+
+def test_repeated_theorem_counted_once(monkeypatch):
+    # ("full", "full") used to give each record twice: 312 where "full" gives 156
+    monkeypatch.setitem(oracle.CHECKERS, "full", negated(oracle.CHECKERS["full"]))
+    once = run_grid(PLANT_GRID, theorems=("full",))
+    assert len(once) == 156 and run_grid(PLANT_GRID, theorems=("full", "full")) == once
+    P = next(all_matrices(1, 2, 1, GF(2)))
+    assert oracle.check_instance(P, 1, ("hom", "full", "hom")) == oracle.check_instance(P, 1, ("hom", "full"))
 
 
 def test_one_theorem_table():
