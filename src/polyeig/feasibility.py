@@ -28,7 +28,6 @@ from .sequences import (
     gen_majorizes,
     majorizes,
     prefix_sum,
-    seq_get,
 )
 
 
@@ -88,11 +87,9 @@ class CompletionTarget:
             if any(v < 0 for v in f) or any(a > b for a, b in zip(f, f[1:])):
                 raise InvalidTargetError("multiplicities of infinity must be nondecreasing and nonnegative")
         if self.col_indices is not None:
-            ensure_ints(self.col_indices, "target column indices", InvalidTargetError)
-            ensure_partition(self.col_indices, "target column indices")
+            ensure_partition(self.col_indices, "target column indices", InvalidTargetError)
         if self.row_indices is not None:
-            ensure_ints(self.row_indices, "target row indices", InvalidTargetError)
-            ensure_partition(self.row_indices, "target row indices")
+            ensure_partition(self.row_indices, "target row indices", InvalidTargetError)
 
 
 # The parts of a CompletionTarget that each completion theorem prescribes,
@@ -269,7 +266,7 @@ def _prefix_cuts(c, a):
         if prefix_sum(c, j) > prefix_sum(a, j):
             ell = j
             break
-    sum_ok = prefix_sum(c, x + 1) - seq_get(c, ell) >= prefix_sum(a, x)
+    sum_ok = prefix_sum(c, x + 1) - c[ell - 1] >= prefix_sum(a, x)
     tail_ok = all(sum(c[j + 1 : x + 1]) >= sum(a[j:x]) for j in range(ell, x))
     return ell, sum_ok, tail_ok
 

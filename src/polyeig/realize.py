@@ -155,10 +155,6 @@ def _monic_polys(field: FieldTag, deg: int, coeff_pool=None):
 
 def _partitions(total: int, parts: int):
     """Nonincreasing nonnegative integer sequences of given length and sum."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
 
     def rec(remaining, parts_left, cap):
         if parts_left == 0:

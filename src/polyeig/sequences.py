@@ -1,15 +1,11 @@
 """Nonincreasing integer sequences, majorization and generalized majorization.
 
-Sequences are plain tuples sorted nonincreasingly.  Index conventions are
-handled by the accessor `seq_get`: entries are +inf before the start and
--inf past the end, so comparisons against out-of-range positions stay
-exact without padding the stored data.
+Sequences are plain tuples sorted nonincreasingly.  The formulas index them
+from 1, as the paper does, so entry i of a sequence is ``seq[i - 1]``.
+Plain majorization is generalized majorization with an empty base sequence.
 """
 
 from __future__ import annotations
-
-POS_INF = float("inf")
-NEG_INF = float("-inf")
 
 
 class InternalError(RuntimeError):
@@ -26,28 +22,19 @@ def ensure_ints(values, what: str, error=ValueError) -> None:
             raise error(f"{what} must be integers, got {v!r}")
 
 
-def ensure_nonincreasing(values, name: str = "sequence") -> tuple:
+def ensure_nonincreasing(values, name: str = "sequence", error=ValueError) -> tuple:
     vals = tuple(values)
-    ensure_ints(vals, name)
+    ensure_ints(vals, name, error)
     if any(a < b for a, b in zip(vals, vals[1:])):
-        raise ValueError(f"{name} must be nonincreasing: {vals}")
+        raise error(f"{name} must be nonincreasing: {vals}")
     return vals
 
 
-def ensure_partition(values, name: str = "partition") -> tuple:
-    vals = ensure_nonincreasing(values, name)
+def ensure_partition(values, name: str = "partition", error=ValueError) -> tuple:
+    vals = ensure_nonincreasing(values, name, error)
     if vals and vals[-1] < 0:
-        raise ValueError(f"{name} must be nonnegative: {vals}")
+        raise error(f"{name} must be nonnegative: {vals}")
     return vals
-
-
-def seq_get(seq, i: int):
-    """1-based access; +inf for i < 1 and -inf past the end."""
-    if i < 1:
-        return POS_INF
-    if i > len(seq):
-        return NEG_INF
-    return seq[i - 1]
 
 
 def prefix_sum(seq, k: int) -> int:
@@ -58,33 +45,23 @@ def prefix_sum(seq, k: int) -> int:
 
 
 def majorizes(a, b) -> bool:
-    """Whether a is majorized by b (prefix sums of a bounded, totals equal)."""
-    a = ensure_nonincreasing(a, "a")
-    b = ensure_nonincreasing(b, "b")
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    total_a = total_b = 0
-    for k in range(len(a) - 1):
-        total_a += a[k]
-        total_b += b[k]
-        if total_a > total_b:
-            return False
-    return sum(a) == sum(b)
+    """Whether a is majorized by b (prefix sums of a bounded, totals equal):
+    the empty-base case a <' ((), b) of `gen_majorizes`."""
+    return _gen_majorizes(ensure_nonincreasing(a, "a"), (), ensure_nonincreasing(b, "b"))
 
 
 def h_threshold(g, d, j: int) -> int:
     """Least i with d_{i-j+1} < g_i, taking d_{m+1} = -inf.
 
-    Well defined whenever len(g) >= len(d) + j; the result always lies in
+    Needs j >= 1 and len(g) >= len(d) + j.  Taking d_k = +inf for k < 1,
+    no i < j qualifies, so the scan starts at j; the result lies in
     [j, len(d) + j].
     """
     m = len(d)
-    for i in range(1, m + j + 1):
-        if seq_get(d, i - j + 1) < seq_get(g, i):
-            if not j <= i <= m + j:
-                raise InternalError(f"threshold {i} outside [{j}, {m + j}]")
+    for i in range(j, m + j):
+        if d[i - j] < g[i - 1]:
             return i
-    raise InternalError("threshold scan must terminate by the -inf sentinel")
+    return m + j
 
 
 def gen_majorizes(g, d, a) -> bool:
@@ -104,7 +81,7 @@ def _gen_majorizes(g, d, a) -> bool:
     m, s = len(d), len(a)
     if len(g) != m + s:
         raise ValueError(f"length mismatch: {len(g)} != {m} + {s}")
-    if any(d[i - 1] < seq_get(g, i + s) for i in range(1, m + 1)):
+    if any(d[i - 1] < g[i + s - 1] for i in range(1, m + 1)):
         return False
     for j in range(1, s + 1):
         h = h_threshold(g, d, j)

@@ -27,7 +27,7 @@ from polyeig import (
 )
 from polyeig.feasibility import check_full_colform
 from polyeig.oracle import THEOREMS, achieved_set, all_matrices, check_instance, project
-from polyeig.sequences import prefix_sum, seq_get
+from polyeig.sequences import prefix_sum
 
 from conftest import random_matrix, ref_dls
 

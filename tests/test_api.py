@@ -15,8 +15,9 @@ import polyeig
 # wrapper, now one growing elimination per side, and the coefficient stacks
 # that the matrix layer and the oracle each laid out, now one reader and
 # one stack builder in `matrix`, the oracle's process pool, which two jobs
-# did not pay for, and the normal-rank helper, now part of the one reading
-# of P.
+# did not pay for, the normal-rank helper, now part of the one reading
+# of P, and the float +-inf accessor of the index sequences, which only
+# one scan read past the ends, and which now starts and stops in range.
 REMOVED = {
     "homog": ("HOMOG_ONE", "HOMOG_ZERO", "chain_at", "homog_lcm"),
     "poly": ("poly_lcm",),
@@ -33,7 +34,7 @@ REMOVED = {
         "SearchBudget", "search_completion",
         "Companion", "InfinityBlock", "ColumnSingular", "RowSingular", "kronecker_block",
     ),
-    "sequences": ("union_desc",),
+    "sequences": ("union_desc", "seq_get", "POS_INF", "NEG_INF"),
 }
 
 

@@ -86,6 +86,9 @@ def test_check_missing_fields(tmp_path, capsys):
     t = write(tmp_path, "t.json", {"rank": 1, "hom_factors": [{"alpha": [0, 1], "e": 0}]})
     assert main(["check", mp, "--add-rows", "1", "--target", t, "--theorem", "finite"]) == 2
     capsys.readouterr()
+    # every theorem but "exists" needs the number of added rows
+    assert main(["check", mp, "--target", t, "--theorem", "hom"]) == 2
+    assert "--add-rows is required" in capsys.readouterr().err
 
 
 def test_check_exists(tmp_path, capsys):
@@ -162,6 +165,31 @@ def test_realize_search_budget(tmp_path, capsys, monkeypatch):
     )
     assert main(["realize", "--target", t, "--search", "--field", "gf2"]) == 4
     capsys.readouterr()
+
+
+DEGREE_2_TARGET = {
+    "degree": 2, "rank": 1, "hom_factors": [{"alpha": [0, 0, 1], "e": 0}], "col_indices": [], "row_indices": [],
+}
+
+
+def test_realize_refusals(tmp_path, capsys):
+    t = write(tmp_path, "t.json", DEGREE_2_TARGET)
+    # the direct construction stops at degree 1
+    assert main(["realize", "--target", t]) == 3
+    assert "use --search" in capsys.readouterr().err
+    # the search enumerates a finite field only
+    assert main(["realize", "--target", t, "--search", "--field", "q"]) == 2
+    assert "--search requires a finite field" in capsys.readouterr().err
+
+
+def test_realize_search_not_found(tmp_path, capsys, monkeypatch):
+    import polyeig.cli as cli
+
+    monkeypatch.setattr(cli, "search_realization", lambda target, field, budget: None)
+    t = write(tmp_path, "t.json", DEGREE_2_TARGET)
+    code, doc = run(capsys, "realize", "--target", t, "--search", "--field", "gf3")
+    # p^(m n (d + 1)) candidates for a 1 x 1 matrix of degree 2 over GF(3)
+    assert code == 1 and doc == {"result": "not-found", "searched": 3**3}
 
 
 def test_oracle_grid(capsys):
@@ -302,6 +330,41 @@ def test_target_integers_are_strict(doc):
 
     with pytest.raises(FormatError):
         parse_target(doc, 1, GF(2))
+
+
+_HOM_S = {"alpha": [0, 1], "e": 0}
+_ES = {"degree": 1, "rank": 1, "hom_factors": [_HOM_S], "col_indices": [], "row_indices": [0]}
+
+
+@pytest.mark.parametrize(
+    "parse, doc, message",
+    [
+        ("field", "R", "unrecognized field"),
+        ("poly", 3, "polynomial must be a coefficient list"),
+        ("matrix", [], "matrix document must be an object"),
+        ("matrix", {"field": "Q", "rows": 1, "cols": 1}, "matrix document missing 'entries'"),
+        ("matrix", {**MATRIX_S, "cols": 2}, "entries shape disagrees"),
+        ("eigenstructure", [], "eigenstructure document must be an object"),
+        ("eigenstructure", {k: v for k, v in _ES.items() if k != "rank"}, "eigenstructure document missing 'rank'"),
+        ("eigenstructure", {**_ES, "hom_factors": [{"alpha": [0, 1]}]}, "bad homogeneous factor"),
+        ("target", [], "target document must be an object"),
+        ("target", {"hom_factors": [_HOM_S]}, "target document missing 'rank'"),
+        ("target", {"rank": 1, "row_indices": [-1]}, "target row indices must be nonnegative"),
+    ],
+)
+def test_malformed_documents_are_format_errors(parse, doc, message):
+    from polyeig import QQ, serialize
+    from polyeig.serialize import FormatError
+
+    call = {
+        "field": lambda: serialize.parse_field(doc),
+        "poly": lambda: serialize.parse_poly(doc, QQ),
+        "matrix": lambda: serialize.parse_matrix(doc),
+        "eigenstructure": lambda: serialize.parse_eigenstructure(doc, QQ),
+        "target": lambda: serialize.parse_target(doc, 1, QQ),
+    }[parse]
+    with pytest.raises(FormatError, match=message):
+        call()
 
 
 def test_eigenstructure_integers_are_strict(tmp_path, capsys):

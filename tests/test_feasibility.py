@@ -230,6 +230,30 @@ def test_target_integer_parts_are_strict():
             CompletionTarget(**{"z": 1, "rank": 1, **bad})
 
 
+_ONE, _S = Poly.make([1], QQ), Poly.make([0, 1], QQ)
+
+
+@pytest.mark.parametrize(
+    "parts, message",
+    [
+        (dict(z=-1), "nonnegative"),
+        (dict(rank=0), "rank must be positive"),
+        (dict(hom_factors=(H([1]), H([1]))), "homogeneous chain length"),
+        (dict(finite_factors=(_ONE, _ONE)), "finite chain length"),
+        (dict(finite_factors=(Poly.make([0, 2], QQ),)), "monic"),
+        (dict(rank=2, finite_factors=(_S, _ONE)), "divisibility chain"),
+        (dict(inf_mults=(0, 0)), "multiplicity list length"),
+        (dict(rank=2, inf_mults=(1, 0)), "nondecreasing and nonnegative"),
+        (dict(inf_mults=(-1,)), "nondecreasing and nonnegative"),
+        (dict(col_indices=(0, 1)), "target column indices must be nonincreasing"),
+        (dict(row_indices=(-1,)), "target row indices must be nonnegative"),
+    ],
+)
+def test_target_refusals_are_invalid_target_errors(parts, message):
+    with pytest.raises(InvalidTargetError, match=message):
+        CompletionTarget(**{"z": 1, "rank": 1, **parts})
+
+
 def test_target_chain_entries_are_homog():
     for chain in ((1,), ("x",), (H([1]), 1), ("x", H([1]))):
         with pytest.raises(InvalidTargetError, match="must be HomogPoly"):

@@ -2,22 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from polyeig import construct_d, gen_majorizes, majorizes
-from polyeig.sequences import (
-    NEG_INF,
-    POS_INF,
-    ensure_nonincreasing,
-    ensure_partition,
-    h_threshold,
-    prefix_sum,
-    seq_get,
-)
-
-
-def test_seq_get_conventions():
-    assert seq_get((3, 1), 0) == POS_INF
-    assert seq_get((3, 1), 1) == 3
-    assert seq_get((3, 1), 2) == 1
-    assert seq_get((3, 1), 3) == NEG_INF
+from polyeig.sequences import ensure_nonincreasing, ensure_partition, h_threshold, prefix_sum
 
 
 def test_ensure_helpers():
@@ -33,6 +18,10 @@ def test_ensure_helpers():
             ensure_nonincreasing(bad)
     with pytest.raises(ValueError):
         construct_d((2.5, 1), (1,))
+    # the caller names the error class, as in ensure_ints
+    for bad in ([1, 2], [1.5], [1, -1]):
+        with pytest.raises(KeyError):
+            ensure_partition(bad, "p", KeyError)
 
 
 def test_prefix_sum_bounds():
@@ -71,8 +60,12 @@ def test_gen_majorizes_examples():
 
 def test_h_threshold_example():
     assert h_threshold((3, 2, 1), (3, 1), 1) == 2
-    # sentinel d_{m+1} = -inf always terminates the scan
+    # with d_{m+1} = -inf the scan ends at m + j
     assert h_threshold((1, 1), (1,), 1) == 2
+    assert h_threshold((1, 1, 1), (1,), 2) == 3
+    # positions i < j compare against d_{i-j+1} = +inf and never stop it
+    assert h_threshold((9, 0, 0), (1,), 2) == 3
+    assert h_threshold((9, 5, 0), (1,), 2) == 2
 
 
 def test_length_mismatch():
@@ -80,9 +73,13 @@ def test_length_mismatch():
         gen_majorizes((1, 1), (1,), (1, 1))
 
 
-seqs = st.lists(st.integers(-5, 5), min_size=0, max_size=5).map(
-    lambda v: tuple(sorted(v, reverse=True))
-)
+def nonincreasing(min_size=0, max_size=5):
+    return st.lists(st.integers(-5, 5), min_size=min_size, max_size=max_size).map(
+        lambda v: tuple(sorted(v, reverse=True))
+    )
+
+
+seqs = nonincreasing()
 
 
 @given(seqs, seqs)
@@ -101,6 +98,24 @@ def test_shift_invariance(d, a, data, t):
     )
     shift = lambda seq: tuple(v + t for v in seq)
     assert gen_majorizes(g, d, a) == gen_majorizes(shift(g), shift(d), shift(a))
+
+
+@given(seqs, st.booleans(), st.booleans(), st.data())
+def test_majorizes_is_the_prefix_sum_definition(a, same_length, balance, data):
+    k = len(a)
+    if not same_length:
+        b = data.draw(seqs.filter(lambda b: len(b) != k))
+        with pytest.raises(ValueError, match="length mismatch"):
+            majorizes(a, b)
+        return
+    b = data.draw(nonincreasing(k, k))
+    if balance and k:
+        # equal totals: raise b's first entry or lower its last, which
+        # keeps b nonincreasing
+        diff = sum(a) - sum(b)
+        b = (b[0] + diff,) + b[1:] if diff >= 0 else b[:-1] + (b[-1] + diff,)
+    prefix_ok = all(sum(a[:j]) <= sum(b[:j]) for j in range(1, k + 1))
+    assert majorizes(a, b) == (prefix_ok and sum(a) == sum(b))
 
 
 @given(seqs)
