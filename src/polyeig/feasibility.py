@@ -26,7 +26,6 @@ from .sequences import (
     ensure_partition,
     _gen_majorizes,
     gen_majorizes,
-    majorizes,
     prefix_sum,
 )
 
@@ -313,7 +312,7 @@ def _chain_check(pinv: Eigenstructure, target: CompletionTarget, theorem: str, c
     if not cols:
         # the column indices are free: some dd with c <' (dd, a) must exist
         if x == n - r:
-            if not _holds(majorizes, c, a):
+            if not _holds(_gen_majorizes, c, (), a):
                 violations.append("c-majorization")
         else:
             details["ell"], cuts = _free_col_cuts(c, a)

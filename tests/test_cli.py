@@ -217,22 +217,22 @@ def test_oracle_repeated_theorem_counted_once(capsys, monkeypatch):
 def test_oracle_budget(capsys):
     assert main(["oracle", "gf2 n=2 m=2 z=2 d=2", "--budget", "100"]) == 4
     capsys.readouterr()
-    # 2^20000 matrices times at least 2^198 subspaces per class: refused
-    # from the exponent, named without its 6,081 decimal digits
+    # at least 2^10000 classes times at least 2^198 subspaces per class:
+    # refused from the exponent, named without its 3,070 decimal digits
     assert main(["oracle", "gf2 m=100 n=100 z=1 d=1"]) == 4
-    assert capsys.readouterr().err == "error: enumeration of at least 2^20198 candidates exceeds budget 4194304\n"
+    assert capsys.readouterr().err == "error: enumeration of at least 2^10198 candidates exceeds budget 4194304\n"
 
 
 def test_oracle_budget_counts_subspaces(capsys, monkeypatch):
-    # p^(m N) matrices times sum_{k <= z} [N - 1 choose k]_p subspaces,
-    # N = n (d + 1): 6,561 x 27 and 4,096 x 187 fit the default budget,
-    # 262,144 x 32 does not
+    # classes, sum_{k <= m} [N choose k]_p - [N - n choose k]_p, times
+    # sum_{k <= z} [N - 1 choose k]_p subspaces, N = n (d + 1): 165 x 27,
+    # 700 x 187 and 2,094 x 32 fit the default budget, 43,232 x 256 does not
     monkeypatch.delenv("POLYEIG_BUDGET", raising=False)
-    for grid in ("gf3 n=2 m=2 z=2 d=1", "gf2 n=3 m=2 z=2 d=1"):
+    for grid in ("gf3 n=2 m=2 z=2 d=1", "gf2 n=3 m=2 z=2 d=1", "gf2 n=3 m=3 z=1 d=1"):
         code, doc = run(capsys, "oracle", grid)
         assert code == 0 and doc["mismatches"] == 0, grid
-    assert main(["oracle", "gf2 n=3 m=3 z=1 d=1"]) == 4
-    assert capsys.readouterr().err == "error: enumeration of 8388608 candidates exceeds budget 4194304\n"
+    assert main(["oracle", "gf2 n=3 m=2 z=1 d=2"]) == 4
+    assert capsys.readouterr().err == "error: enumeration of 11067392 candidates exceeds budget 4194304\n"
 
 
 def test_oracle_bad_grid(capsys):

@@ -1,19 +1,24 @@
 """The memoised oracle against plain exhaustive search and planted checkers,
 plus zero-mismatch runs on the first GF(3) grid, the first grid with rank
-excess 2, the first GF(3) grid with gap sequences of length 2 and two grids
-with m = 2 and z = 2."""
+excess 2, the first GF(3) grid with gap sequences of length 2, two grids
+with m = 2 and z = 2, and the grids the orbits of GL_n(p) bring in reach:
+GF(2) 3 x 3, GF(3) 2 x 3 and GF(2) 2 x 2 with z = 2 and d = 2."""
 
+import hashlib
 import itertools
+import random
 import re
 
 import pytest
 
 import polyeig.oracle as oracle
-from polyeig import GF, QQ, PolyMatrix, eigenstructure, stack_rows
+from polyeig import GF, QQ, Poly, PolyMatrix, eigenstructure, stack_rows
 from polyeig.feasibility import FeasibilityReport
 from polyeig.matrix import _coefficient_lists, _coefficient_stack, degree_of, echelon
 from polyeig.oracle import GridSpec, achieved_set, all_matrices, run_grid
 from polyeig.realize import all_completion_rows, enumerate_targets
+
+from conftest import product, random_matrix, ref_det
 
 # the criterion-3 grids, the two benchmark grids, then GF(3) with z = 2
 ACHIEVED_GRIDS = [f"gf2 m={m} n={n} z=1 d={d}" for m, n, d in [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 2, 1)]]
@@ -46,14 +51,21 @@ def test_planted_checker_is_seen_and_not_cached(monkeypatch):
 
 
 WIDE_GRIDS = ["gf3 m=2 n=2 z=2 d=1", "gf2 m=2 n=3 z=2 d=1"]
+# the first grid with m >= 2, z >= 2 and d >= 2, the first over GF(5), then
+# two of 261,632 and 530,712 matrices that the orbits of GL_n(p) bring in
+# reach; a planted checker lists every record, millions on the last two, so
+# it is planted on the first two only
+ORBIT_GRIDS = ["gf2 m=2 n=2 z=2 d=2", "gf5 m=1 n=2 z=2 d=1", "gf2 m=3 n=3 z=1 d=1", "gf3 m=2 n=3 z=1 d=1"]
 
 
-@pytest.mark.parametrize("grid", ["gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=2 d=1", "gf3 m=1 n=2 z=2 d=1", *WIDE_GRIDS])
+@pytest.mark.parametrize(
+    "grid", ["gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=2 d=1", "gf3 m=1 n=2 z=2 d=1", *WIDE_GRIDS, *ORBIT_GRIDS]
+)
 def test_no_mismatches_on_wider_grid(grid):
     assert run_grid(GridSpec.parse(grid)) == []
 
 
-@pytest.mark.parametrize("grid", WIDE_GRIDS)
+@pytest.mark.parametrize("grid", [*WIDE_GRIDS, *ORBIT_GRIDS[:2]])
 def test_planted_checker_is_seen_on_wide_grid(grid, monkeypatch):
     monkeypatch.setitem(oracle.CHECKERS, "full", always_feasible)
     planted = run_grid(GridSpec.parse(grid), theorems=("full",))
@@ -196,8 +208,10 @@ def test_completions_enumerated_modulo_row_space(grid, monkeypatch):
         assert sum(keys) == 15 < g.field.p ** (g.z * 3)
 
 
-def test_achieved_set_once_per_class(monkeypatch):
-    # over GF(3) a 1 x 2 matrix shares its stack row space only with 2P
+def test_achieved_set_once_per_orbit(monkeypatch):
+    # the 72 GF(3) 1 x 2 pencils have 36 stack row spaces (P and 2P share
+    # one), which GL_2(3) joins into p + 1 = 4 orbits: [1 s] and [s - a 0]
+    # for the three a
     calls = []
 
     def counting(P, z, **kwargs):
@@ -207,7 +221,117 @@ def test_achieved_set_once_per_class(monkeypatch):
     monkeypatch.setattr(oracle, "achieved_set", counting)
     g = GridSpec.parse("gf3 m=1 n=2 z=1 d=1")
     assert run_grid(g) == []
-    assert len(list(all_matrices(g.m, g.n, g.d, g.field))) == 72 and len(calls) == 36
+    assert len(list(all_matrices(g.m, g.n, g.d, g.field))) == 72 and len(calls) == 4
+
+
+def test_clean_grid_lists_no_matrix(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a grid with no mismatch listed its matrices")
+
+    monkeypatch.setattr(oracle, "all_matrices", refused)
+    for grid in ("gf3 m=1 n=2 z=1 d=1", "gf2 m=2 n=2 z=2 d=1", "gf2 m=1 n=2 z=1 d=2"):
+        assert run_grid(GridSpec.parse(grid)) == []
+
+
+@pytest.mark.parametrize("grid", ["gf2 m=2 n=2 z=1 d=1", "gf3 m=1 n=2 z=1 d=1", "gf2 m=1 n=3 z=1 d=1", "gf2 m=1 n=2 z=1 d=2"])
+def test_orbits_keep_the_eigenstructure(grid):
+    # every class the orbit walk joins has its representative's
+    # eigenstructure, every class of the grid is reached, and at d = 1 the
+    # orbits are the eigenstructures, as for pencils under strict equivalence
+    g = GridSpec.parse(grid)
+    ctx = oracle._GridContext(g)
+    mats = list(all_matrices(g.m, g.n, g.d, g.field))
+    for P in mats:
+        oracle.check_instance(P, g.z, _ctx=ctx)
+    forms = {tuple(tuple(row) for _, row in oracle._stack_form(P, g.d)) for P in mats}
+    assert {form for _, form in ctx.orbits} == forms
+    for key, (rep, _) in ctx.orbits.items():
+        assert eigenstructure(ctx.matrix(*key)) == eigenstructure(ctx.matrix(*rep)), key
+    reps = {rep for rep, _ in ctx.orbits.values()}
+    if g.d == 1:
+        assert len(reps) == len({eigenstructure(P) for P in mats})
+
+
+def _generator_matrices(n, p):
+    """The n-cycle, the transposition (1 2), the transvection col_2 += col_1
+    and diag(lam, 1, ...), lam = 2..p-1, as n x n integer matrices."""
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    cycle = [[int(i == (j + 1) % n) for j in range(n)] for i in range(n)]
+    swap = [row[:] for row in eye]
+    swap[0], swap[1] = swap[1], swap[0]
+    shear = [row[:] for row in eye]
+    shear[0][1] = 1
+    scales = []
+    for lam in range(2, p):
+        scale = [row[:] for row in eye]
+        scale[0][0] = lam
+        scales.append(scale)
+    return [cycle, swap, shear, *scales]
+
+
+def _constant(Q, field):
+    return [[Poly.make([c], field) for c in row] for row in Q]
+
+
+# (field, m, n, d, z): every shape has n >= 2, so that GL_n(p) moves row spaces
+FACT_2_SHAPES = [
+    (GF(2), 1, 3, 2, 1), (GF(2), 2, 3, 1, 1), (GF(2), 2, 2, 1, 2),
+    (GF(3), 1, 3, 1, 1), (GF(3), 2, 2, 1, 1),
+    (GF(5), 1, 2, 1, 1), (GF(5), 2, 2, 1, 1),
+]
+
+
+def test_right_factor_keeps_eigenstructure_and_achieved_set():
+    # Fact 2 on matrices and Q drawn at random, through no orbit memo:
+    # P Q has P's eigenstructure and P's achieved set
+    rng = random.Random(20261022)
+    for field, m, n, d, z in FACT_2_SHAPES:
+        p = field.p
+        gens = _generator_matrices(n, p)
+        for _ in range(2):
+            P = random_matrix(rng, m, n, d, field)
+            word = [rng.choice(gens) for _ in range(6)]
+            Q = _constant(word[0], field)
+            for gen in word[1:]:
+                Q = product(Q, _constant(gen, field), field)
+            while True:
+                R = _constant([[rng.randrange(p) for _ in range(n)] for _ in range(n)], field)
+                if not ref_det(R, field).is_zero:
+                    break
+            es, achieved = eigenstructure(P), achieved_set(P, z)
+            for factor in (Q, R):
+                PQ = PolyMatrix.make(product(P.entries, factor, field), field)
+                assert eigenstructure(PQ) == es, (P, factor)
+                assert achieved_set(PQ, z) == achieved, (P, factor)
+
+
+# With all six checkers negated, the records of these grids, in order, hash
+# as recorded in CHANGES.md: the first 16 hex of SHA-256 fed each record's
+# repr, and the record count.
+RECORD_HASHES = {
+    "gf2 m=1 n=2 z=1 d=1": ("358d05ea89c53334", 804),
+    "gf2 m=1 n=2 z=2 d=1": ("e72472c95d53d03e", 996),
+    "gf3 m=1 n=2 z=1 d=1": ("ae3633143da74414", 7_704),
+    "gf2 m=2 n=2 z=1 d=1": ("67525cfd091fd9bc", 16_386),
+    "gf2 m=2 n=2 z=2 d=1": ("3dd4f3b86f99bbf3", 16_866),
+    "gf3 m=1 n=2 z=2 d=1": ("6a913a547b97da92", 9_144),
+    "gf2 m=1 n=3 z=1 d=1": ("d8c6f1e23584b8c0", 4_648),
+    "gf2 m=1 n=2 z=1 d=2": ("7c5db64c0fde9de0", 14_304),
+    "gf2 m=2 n=1 z=1 d=1": ("2542a92bb41c6a16", 192),
+}
+
+
+def test_negated_records_hash_as_recorded(monkeypatch):
+    for theorem, check in oracle.CHECKERS.items():
+        monkeypatch.setitem(oracle.CHECKERS, theorem, negated(check))
+    found = {}
+    for grid in RECORD_HASHES:
+        digest, count = hashlib.sha256(), 0
+        for rec in run_grid(GridSpec.parse(grid)):
+            digest.update(repr(rec).encode())
+            count += 1
+        found[grid] = (digest.hexdigest()[:16], count)
+    assert found == RECORD_HASHES
 
 
 def test_achieved_set_completes_up_to_deg_p():
